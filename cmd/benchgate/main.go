@@ -160,10 +160,23 @@ func microBenchmarks() []Measurement {
 	}))
 	ms = append(ms, micro("memctrl_read_row_hit", func(b *testing.B) {
 		c, q := benchController(memctrl.ModeNoRefresh)
-		readOnce(b, c, q, 5, 0)
+		done := false
+		onDone := func(event.Cycle) { done = true }
+		read := func(col int) {
+			done = false
+			if !c.EnqueueRead(addr.Loc{Rank: 0, Bank: 0, Row: 5, Col: col}, 0, onDone) {
+				b.Fatal("enqueue rejected")
+			}
+			for !done {
+				if !q.Step() {
+					b.Fatal("queue drained before read completed")
+				}
+			}
+		}
+		read(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			readOnce(b, c, q, 5, i%64)
+			read(i % 64)
 		}
 	}))
 	ms = append(ms, micro("memctrl_idle_refresh_cadence", func(b *testing.B) {
@@ -187,19 +200,6 @@ func benchController(mode memctrl.Mode) (*memctrl.Controller, *event.Queue) {
 		Channels: 1, Ranks: 2, Banks: 8, Rows: 512, ColumnLines: 64,
 	})
 	return memctrl.MustNew(memctrl.DefaultConfig(mode), dev, q), q
-}
-
-func readOnce(b *testing.B, c *memctrl.Controller, q *event.Queue, row, col int) {
-	done := false
-	if !c.EnqueueRead(addr.Loc{Rank: 0, Bank: 0, Row: row, Col: col}, 0,
-		func(event.Cycle) { done = true }) {
-		b.Fatal("enqueue rejected")
-	}
-	for !done {
-		if !q.Step() {
-			b.Fatal("queue drained before read completed")
-		}
-	}
 }
 
 // campaign measures the quick Fig1 campaign at one worker (the ISSUE's

@@ -12,7 +12,9 @@ import (
 // (memctrl's nextWake) would have slept past any cycle where a tick
 // issued a command or advanced controller state. This pins the wake
 // discipline's exactness independently of the golden-table tests: those
-// catch a divergence, this localizes it to the first missed cycle.
+// catch a divergence, this localizes it to the first missed cycle. The
+// same ticks check the controller's request-pool identity (every
+// request object is free, queued, or a pending buffer insert).
 func TestCrossCheckWake(t *testing.T) {
 	memctrl.CrossCheckWake = true
 	defer func() { memctrl.CrossCheckWake = false }()

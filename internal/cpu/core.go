@@ -64,11 +64,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// inflight tracks one outstanding load.
-type inflight struct {
+// mshr is one miss-status holding register: the load it tracks and
+// the completion callback bound to the slot once, in New, so that
+// issuing a miss allocates nothing.
+type mshr struct {
 	instPos int64 // instruction count at issue
 	done    bool
-	doneAt  event.CPUCycle
+	onDone  func(event.Cycle)
 }
 
 // Core replays one benchmark trace against a Memory.
@@ -85,7 +87,9 @@ type Core struct {
 	pending   *workload.Record  // fetched but not yet issued memory op
 	pendRec   workload.Record   // backing store for pending (avoids a per-record heap allocation)
 	gapLeft   int64             // compute instructions still owed before pending
-	loads     []inflight        // oldest first
+	mshrs     []mshr            // one per Config.MSHRs
+	loads     []int             // MSHR slots of outstanding loads, oldest first
+	free      []int             // MSHR slots not in loads
 	stepFn    func(event.Cycle) // step as a stored closure, reused by every reschedule
 
 	waitingSpace bool
@@ -111,6 +115,13 @@ func New(cfg Config, id int, trace workload.Stream, mem Memory, q *event.Queue, 
 	}
 	c := &Core{cfg: cfg, id: id, trace: trace, mem: mem, q: q, limit: limit}
 	c.stepFn = func(at event.Cycle) { c.step(at) }
+	c.mshrs = make([]mshr, cfg.MSHRs)
+	c.loads = make([]int, 0, cfg.MSHRs)
+	c.free = make([]int, cfg.MSHRs)
+	for i := range c.mshrs {
+		c.mshrs[i].onDone = func(at event.Cycle) { c.loadDone(i, at) }
+		c.free[i] = i
+	}
 	return c
 }
 
@@ -162,21 +173,23 @@ func (c *Core) NotifySpace() {
 	}
 }
 
-// oldestIncomplete returns the index of the oldest incomplete load, or
-// -1 when none.
-func (c *Core) oldestIncomplete() int {
-	for i := range c.loads {
-		if !c.loads[i].done {
-			return i
+// oldestIncomplete returns the oldest incomplete load, or nil when
+// none.
+func (c *Core) oldestIncomplete() *mshr {
+	for _, slot := range c.loads {
+		if m := &c.mshrs[slot]; !m.done {
+			return m
 		}
 	}
-	return -1
+	return nil
 }
 
-// reapLoads drops completed loads from the front of the window.
+// reapLoads drops completed loads from the front of the window and
+// frees their MSHR slots.
 func (c *Core) reapLoads() {
 	i := 0
-	for i < len(c.loads) && c.loads[i].done {
+	for i < len(c.loads) && c.mshrs[c.loads[i]].done {
+		c.free = append(c.free, c.loads[i])
 		i++
 	}
 	if i > 0 {
@@ -192,8 +205,8 @@ func (c *Core) stalled() bool {
 		c.StallMSHR.Inc()
 		return true
 	}
-	if oi := c.oldestIncomplete(); oi >= 0 &&
-		c.instCount-c.loads[oi].instPos >= int64(c.cfg.ROBWindow) {
+	if m := c.oldestIncomplete(); m != nil &&
+		c.instCount-m.instPos >= int64(c.cfg.ROBWindow) {
 		c.StallROB.Inc()
 		return true
 	}
@@ -238,8 +251,8 @@ func (c *Core) step(now event.Cycle) {
 		// fills and the core stalls mid-gap.
 		if c.gapLeft > 0 {
 			allowed := c.gapLeft
-			if oi := c.oldestIncomplete(); oi >= 0 {
-				room := c.loads[oi].instPos + int64(c.cfg.ROBWindow) - c.instCount
+			if m := c.oldestIncomplete(); m != nil {
+				room := m.instPos + int64(c.cfg.ROBWindow) - c.instCount
 				if room < allowed {
 					allowed = room
 				}
@@ -287,9 +300,9 @@ func (c *Core) step(now event.Cycle) {
 			}
 			c.MemWrites.Inc()
 		} else {
-			pos := c.instCount
-			status := c.mem.Read(rec.Line, c.id, func(at event.Cycle) { c.loadDone(pos, at) })
-			switch status {
+			// stalled guarantees a free slot; only a miss claims it.
+			slot := c.free[len(c.free)-1]
+			switch c.mem.Read(rec.Line, c.id, c.mshrs[slot].onDone) {
 			case ReadRejected:
 				c.waitingSpace = true
 				return
@@ -298,7 +311,9 @@ func (c *Core) step(now event.Cycle) {
 				c.cpuNow += c.cfg.HitExtraCPU
 			case ReadMiss:
 				c.MemReads.Inc()
-				c.loads = append(c.loads, inflight{instPos: pos})
+				c.free = c.free[:len(c.free)-1]
+				c.mshrs[slot].instPos, c.mshrs[slot].done = c.instCount, false
+				c.loads = append(c.loads, slot)
 			}
 		}
 		c.pending = nil
@@ -307,15 +322,9 @@ func (c *Core) step(now event.Cycle) {
 	}
 }
 
-// loadDone handles a memory read completion.
-func (c *Core) loadDone(instPos int64, at event.Cycle) {
-	for i := range c.loads {
-		if c.loads[i].instPos == instPos && !c.loads[i].done {
-			c.loads[i].done = true
-			c.loads[i].doneAt = event.ToCPU(at)
-			break
-		}
-	}
+// loadDone handles the completion of the load in MSHR slot.
+func (c *Core) loadDone(slot int, at event.Cycle) {
+	c.mshrs[slot].done = true
 	if c.finished {
 		return
 	}
@@ -331,7 +340,7 @@ func (c *Core) loadDone(instPos int64, at event.Cycle) {
 // maybeFinish completes the run once every outstanding load returned.
 func (c *Core) maybeFinish() {
 	c.reapLoads()
-	if c.oldestIncomplete() >= 0 {
+	if c.oldestIncomplete() != nil {
 		return // remaining completions re-enter via loadDone -> step
 	}
 	if !c.finished {

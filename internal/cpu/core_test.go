@@ -29,7 +29,7 @@ func (m *fakeMem) Read(line uint64, src int, done func(event.Cycle)) ReadStatus 
 		return ReadHit
 	}
 	m.misses++
-	m.q.Schedule(m.q.Now()+m.missLat, func(at event.Cycle) { done(at) })
+	m.q.Schedule(m.q.Now()+m.missLat, done)
 	return ReadMiss
 }
 
@@ -223,6 +223,161 @@ func TestConfigValidate(t *testing.T) {
 	} {
 		if cfg.Validate() == nil {
 			t.Errorf("case %d accepted", i)
+		}
+	}
+}
+
+// missStream is an endless stream of loads to distinct lines.
+type missStream struct{ line uint64 }
+
+func (s *missStream) Next() (workload.Record, bool) {
+	s.line++
+	return workload.Record{Gap: 3, Line: s.line}, true
+}
+
+// TestMissIssueAllocsZero pins the core's miss path at zero
+// allocations: every load passes its MSHR slot's pre-bound completion
+// callback. The count is exact, so it skips under -race, whose
+// instrumentation allocates.
+func TestMissIssueAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	q := &event.Queue{}
+	mem := &fakeMem{q: q, missLat: 100}
+	c := New(DefaultConfig(), 0, &missStream{}, mem, q, 1<<62)
+	c.Start(nil)
+	// Warm up until the event queue's calendar buckets reach their
+	// working capacity.
+	q.RunUntil(200_000)
+	misses := mem.misses
+	if n := testing.AllocsPerRun(100, func() { q.RunUntil(q.Now() + 1000) }); n != 0 {
+		t.Errorf("%v allocations per 1000 bus cycles of misses, want 0", n)
+	}
+	if mem.misses == misses {
+		t.Error("no misses issued while measuring")
+	}
+}
+
+// oooMem answers every 13th read with ReadRejected (space frees three
+// cycles later), lines divisible by 7 with ReadHit, and every other
+// read as a miss whose latency varies with the line, so younger loads
+// often complete before older ones. It checks the core's MSHR state at
+// every read and completion.
+type oooMem struct {
+	t      *testing.T
+	q      *event.Queue
+	c      *Core
+	calls  int
+	misses map[int64]bool // instPos of every accepted miss
+}
+
+func (m *oooMem) Read(line uint64, src int, done func(event.Cycle)) ReadStatus {
+	m.checkSlots()
+	m.calls++
+	if m.calls%13 == 0 {
+		m.q.Schedule(m.q.Now()+3, func(event.Cycle) { m.c.NotifySpace() })
+		return ReadRejected
+	}
+	if line%7 == 0 {
+		return ReadHit
+	}
+	pos := m.c.instCount
+	m.misses[pos] = true
+	m.q.Schedule(m.q.Now()+event.Cycle(20+line*37%150), func(at event.Cycle) {
+		m.complete(pos, done, at)
+	})
+	return ReadMiss
+}
+
+func (m *oooMem) Write(line uint64, src int) bool { return true }
+
+// checkSlots asserts that the outstanding loads and the free slots
+// partition the MSHRs, and that only accepted misses hold a slot.
+func (m *oooMem) checkSlots() {
+	c := m.c
+	seen := make([]bool, len(c.mshrs))
+	for _, s := range append(append([]int(nil), c.loads...), c.free...) {
+		if seen[s] {
+			m.t.Fatalf("MSHR slot %d held twice (loads %v, free %v)", s, c.loads, c.free)
+		}
+		seen[s] = true
+	}
+	if len(c.loads)+len(c.free) != len(c.mshrs) {
+		m.t.Fatalf("loads %v and free %v do not cover %d slots", c.loads, c.free, len(c.mshrs))
+	}
+	for _, s := range c.loads {
+		if !m.misses[c.mshrs[s].instPos] {
+			m.t.Fatalf("slot %d holds instPos %d, which was no miss", s, c.mshrs[s].instPos)
+		}
+	}
+}
+
+// complete delivers the completion of the miss issued at instPos pos
+// and asserts that it marks that load, and only that load.
+func (m *oooMem) complete(pos int64, done func(event.Cycle), at event.Cycle) {
+	c := m.c
+	slot := -1
+	before := map[int]bool{}
+	for _, s := range c.loads {
+		before[s] = c.mshrs[s].done
+		if c.mshrs[s].instPos == pos {
+			slot = s
+		}
+	}
+	if slot < 0 || before[slot] {
+		m.t.Fatalf("load at instPos %d not outstanding at its completion", pos)
+	}
+	done(at)
+	for s, wasDone := range before {
+		if got, want := c.mshrs[s].done, wasDone || s == slot; got != want {
+			m.t.Fatalf("completing instPos %d: slot %d done=%v, want %v", pos, s, got, want)
+		}
+	}
+	m.checkSlots()
+}
+
+// TestOutOfOrderCompletionsMarkTheirSlot runs loads that complete out
+// of order, mixed with hits and rejections, at several MSHR counts.
+// The timing results are pinned: which slot a load takes must not
+// change simulated behaviour.
+func TestOutOfOrderCompletionsMarkTheirSlot(t *testing.T) {
+	for _, want := range []struct {
+		mshrs, stallMSHR, stallROB int
+		cycles                     event.CPUCycle
+		ipc                        float64
+	}{
+		{mshrs: 1, cycles: 425356, ipc: 0.09403887567120248, stallMSHR: 1106},
+		{mshrs: 2, cycles: 242168, ipc: 0.165174589541145, stallMSHR: 1106},
+		{mshrs: 8, cycles: 106684, ipc: 0.3749390724007349, stallROB: 1102},
+	} {
+		recs := make([]workload.Record, 3000)
+		for i := range recs {
+			recs[i] = workload.Record{Gap: uint32(i * 7 % 61), Line: uint64(i)*3 + 1}
+		}
+		q := &event.Queue{}
+		m := &oooMem{t: t, q: q, misses: map[int64]bool{}}
+		cfg := DefaultConfig()
+		cfg.MSHRs = want.mshrs
+		c := New(cfg, 0, workload.NewSliceStream(recs), m, q, 40000)
+		m.c = c
+		c.Start(nil)
+		q.Run(10_000_000)
+		if !c.Finished() {
+			t.Fatalf("MSHRs=%d: core never finished", want.mshrs)
+		}
+		if c.MemReads.Value() != 1107 || c.LLCHitReads.Value() != 185 {
+			t.Errorf("MSHRs=%d: %d misses, %d hits; want 1107, 185",
+				want.mshrs, c.MemReads.Value(), c.LLCHitReads.Value())
+		}
+		if c.Cycles() != want.cycles || c.IPC() != want.ipc ||
+			c.StallMSHR.Value() != int64(want.stallMSHR) || c.StallROB.Value() != int64(want.stallROB) {
+			t.Errorf("MSHRs=%d: cycles %d IPC %v stalls MSHR %d ROB %d; want %d %v %d %d",
+				want.mshrs, c.Cycles(), c.IPC(), c.StallMSHR.Value(), c.StallROB.Value(),
+				want.cycles, want.ipc, want.stallMSHR, want.stallROB)
+		}
+		if len(c.free) != want.mshrs {
+			t.Errorf("MSHRs=%d: %d slots free after the run", want.mshrs, len(c.free))
 		}
 	}
 }

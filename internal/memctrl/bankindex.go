@@ -9,7 +9,7 @@ import "ropsim/internal/addr"
 // of a bank in one step, and the refresh machine's queue-emptiness
 // probes (hasDemandReads and friends) become O(1) counter reads. The
 // index mirrors its queue exactly; every mutation of readQ/writeQ/fillQ
-// goes through pushRequest/removeReq or is followed by rebuild.
+// goes through pushRequest, removeReq or filterQueue.
 type bankIndex struct {
 	banks int          // banks per rank (list stride)
 	lists [][]*request // rank*banks+bank → pending requests, oldest first
@@ -53,7 +53,7 @@ func (ix *bankIndex) list(rank, bank int) []*request {
 }
 
 // rebuild resynchronizes the index from the queue after a bulk filter
-// (fill drops, SRAM probes, read merging).
+// (filterQueue).
 func (ix *bankIndex) rebuild(queue []*request) {
 	for i := range ix.lists {
 		l := ix.lists[i]

@@ -171,7 +171,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// request is one queued transaction.
+// request is one queued transaction. Requests are pooled per
+// controller (see newRequest): a request leaves the pool when it is
+// queued or parked as a pending SRAM buffer insert, and returns to it
+// when it leaves the controller.
 type request struct {
 	loc      addr.Loc
 	arrive   event.Cycle
@@ -179,6 +182,7 @@ type request struct {
 	seq      int64 // controller-wide age stamp; FR-FCFS "oldest" = lowest seq
 	prefetch bool  // ROP fill, not a demand access
 	done     func(event.Cycle)
+	insertFn func(event.Cycle) // insertFill bound to this request, set once
 }
 
 // Controller drives one DRAM channel.
@@ -208,6 +212,14 @@ type Controller struct {
 	lastExact   event.Cycle       // CrossCheckWake: last computed exact wake
 	tickFn      func(event.Cycle) // tick as a stored closure, reused by every arm
 	spaceFn     func()            // back-pressure notification to the cores
+
+	// free is the request pool's free list. reqMade counts the request
+	// objects ever allocated and insertsPending those parked as pending
+	// buffer inserts, so reqMade = len(free) + queued + insertsPending
+	// (checked by poolBalanced).
+	free           []*request
+	reqMade        int
+	insertsPending int
 
 	capture *Capture
 	cmdObs  func(dram.Command) // optional command observer (protocol sanitizer)
@@ -520,16 +532,11 @@ func (c *Controller) EnqueueRead(loc addr.Loc, src int, done func(event.Cycle)) 
 		}
 		if c.rop.ProbeRead(loc, now, frozen) {
 			c.SRAMServed.Inc()
-			c.ReadsServed.Inc()
-			fin := now + c.cfg.SRAMLatency
-			c.observeRead(float64(fin - now))
-			if done != nil {
-				c.q.Schedule(fin, done)
-			}
+			c.finishRead(now, now+c.cfg.SRAMLatency, done)
 			return true
 		}
 	}
-	c.pushRequest(&c.readQ, &request{loc: loc, arrive: now, src: src, done: done})
+	c.pushRequest(&c.readQ, c.newRequest(loc, now, src, false, done))
 	if CrossCheckWake {
 		c.lastExact = now
 	}
@@ -552,7 +559,7 @@ func (c *Controller) EnqueueWrite(loc addr.Loc, src int) bool {
 		c.rop.OnRequest(loc, false, now)
 		c.rop.OnWrite(loc)
 	}
-	c.pushRequest(&c.writeQ, &request{loc: loc, arrive: now, src: src})
+	c.pushRequest(&c.writeQ, c.newRequest(loc, now, src, false, nil))
 	if CrossCheckWake {
 		c.lastExact = now
 	}
@@ -568,6 +575,35 @@ func (c *Controller) pushRequest(queue *[]*request, req *request) {
 	req.seq = c.reqSeq
 	*queue = append(*queue, req)
 	c.indexFor(queue).add(req)
+}
+
+// newRequest takes a request from the free list, allocating one (and
+// binding its buffer-insert callback) only when the list is empty.
+func (c *Controller) newRequest(loc addr.Loc, arrive event.Cycle, src int, prefetch bool, done func(event.Cycle)) *request {
+	var req *request
+	if n := len(c.free); n > 0 {
+		req = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		req = &request{}
+		req.insertFn = func(event.Cycle) { c.insertFill(req) }
+		c.reqMade++
+	}
+	req.loc, req.arrive, req.src, req.prefetch, req.done = loc, arrive, src, prefetch, done
+	return req
+}
+
+// release returns a request that left the controller to the free list.
+func (c *Controller) release(req *request) {
+	req.done = nil
+	c.free = append(c.free, req)
+}
+
+// poolBalanced reports whether every request object ever allocated is
+// on the free list, in a queue, or parked as a pending buffer insert.
+func (c *Controller) poolBalanced() bool {
+	held := len(c.free) + len(c.readQ) + len(c.writeQ) + len(c.fillQ) + c.insertsPending
+	return held == c.reqMade
 }
 
 // indexFor maps a queue to its bank index.
@@ -644,6 +680,10 @@ func (c *Controller) tick(now event.Cycle) {
 				now, c.lastExact, issued, c.cfg.Mode, preDrain, c.draining))
 		}
 		c.lastExact = c.nextWake(now)
+		if !c.poolBalanced() {
+			panic(fmt.Sprintf("request pool leak: %d allocated, %d free, %d+%d+%d queued, %d inserting",
+				c.reqMade, len(c.free), len(c.readQ), len(c.writeQ), len(c.fillQ), c.insertsPending))
+		}
 		if issued || !c.Idle() {
 			c.ensureWake(now + 1)
 			return
@@ -667,8 +707,9 @@ func (c *Controller) tick(now event.Cycle) {
 // cadence (so simulations still produce bit-identical results) and
 // panics if the exact wake computed after the previous tick would have
 // slept past a cycle where this tick issued a command or advanced
-// controller state. TestCrossCheckWake runs full simulations in every
-// refresh mode under it. Not safe to toggle mid-run.
+// controller state, or if the request pool's conservation identity
+// (poolBalanced) fails. TestCrossCheckWake runs full simulations in
+// every refresh mode under it. Not safe to toggle mid-run.
 var CrossCheckWake bool
 
 // nextRefreshDue reports the earliest cycle at which any rank's
@@ -716,68 +757,62 @@ func (c *Controller) oooMode() bool {
 func (c *Controller) completeRead(req *request, dataAt event.Cycle) {
 	if req.prefetch {
 		c.PrefetchFillsIssued.Inc()
-		if c.rop != nil {
-			key := c.rop.LineKey(req.loc)
-			buf := c.rop.Buffer()
-			if buf.Owner() == req.loc.Rank {
-				c.q.Schedule(dataAt, func(event.Cycle) {
-					// Re-check ownership at fill time: the refresh may
-					// have completed and released the buffer.
-					if buf.Owner() == req.loc.Rank {
-						buf.Insert(key)
-					}
-				})
-			}
-		}
+		c.stageFill(req.loc, dataAt)
 		// Read merging: queued demand reads for the same line ride the
 		// fill's data burst instead of fetching from DRAM again.
-		kept := c.readQ[:0]
-		merged := false
-		for _, dr := range c.readQ {
-			if dr.loc == req.loc {
-				c.ReadsServed.Inc()
-				c.observeRead(float64(dataAt - dr.arrive))
-				if dr.done != nil {
-					done := dr.done
-					c.q.Schedule(dataAt, done)
-				}
-				merged = true
-				continue
+		c.filterQueue(&c.readQ, true, func(dr *request) bool {
+			if dr.loc != req.loc {
+				return false
 			}
-			kept = append(kept, dr)
-		}
-		if merged {
-			c.readQ = kept
-			c.readIdx.rebuild(c.readQ)
-			c.notifySpace()
-		}
+			c.finishRead(dr.arrive, dataAt, dr.done)
+			return true
+		})
 		return
 	}
-	c.ReadsServed.Inc()
-	c.observeRead(float64(dataAt - req.arrive))
-	if req.done != nil {
-		done := req.done
-		c.q.Schedule(dataAt, func(at event.Cycle) { done(at) })
-	}
+	c.finishRead(req.arrive, dataAt, req.done)
 	// Symmetric merge: a pending prefetch fill for the same line rides
 	// this demand burst into the buffer.
 	for _, f := range c.fillQ {
 		if f.loc == req.loc {
 			c.removeReq(&c.fillQ, f)
-			if c.rop != nil {
-				key := c.rop.LineKey(req.loc)
-				buf := c.rop.Buffer()
-				if buf.Owner() == req.loc.Rank {
-					c.q.Schedule(dataAt, func(event.Cycle) {
-						if buf.Owner() == req.loc.Rank {
-							buf.Insert(key)
-						}
-					})
-				}
-			}
+			c.stageFill(req.loc, dataAt)
 			break
 		}
 	}
+}
+
+// finishRead completes a demand read that arrived at arrive and whose
+// data is available at dataAt: it counts and times the read and
+// schedules the caller's done directly.
+func (c *Controller) finishRead(arrive, dataAt event.Cycle, done func(event.Cycle)) {
+	c.ReadsServed.Inc()
+	c.observeRead(float64(dataAt - arrive))
+	if done != nil {
+		c.q.Schedule(dataAt, done)
+	}
+}
+
+// stageFill schedules the SRAM buffer insert of a filled line for when
+// its data arrives at dataAt, provided the line's rank owns the buffer.
+// The pending insert is a pooled request parked outside the queues.
+func (c *Controller) stageFill(loc addr.Loc, dataAt event.Cycle) {
+	if c.rop == nil || c.rop.Buffer().Owner() != loc.Rank {
+		return
+	}
+	ins := c.newRequest(loc, dataAt, 0, true, nil)
+	c.insertsPending++
+	c.q.Schedule(dataAt, ins.insertFn)
+}
+
+// insertFill lands a staged fill in the buffer and returns its request
+// to the free list. Ownership is re-checked at fill time: the refresh
+// may have completed and released the buffer.
+func (c *Controller) insertFill(ins *request) {
+	if buf := c.rop.Buffer(); buf.Owner() == ins.loc.Rank {
+		buf.Insert(c.rop.LineKey(ins.loc))
+	}
+	c.insertsPending--
+	c.release(ins)
 }
 
 // scheduleStep picks and issues at most one demand/fill command using
@@ -959,8 +994,9 @@ func (c *Controller) issueFrom(queue *[]*request, now event.Cycle, isWrite bool)
 	return false
 }
 
-// removeReq deletes req from the given queue and its bank index, and
-// wakes any core waiting for queue space.
+// removeReq deletes req from the given queue and its bank index,
+// returns it to the free list, and wakes any core waiting for queue
+// space.
 func (c *Controller) removeReq(queue *[]*request, req *request) {
 	q := *queue
 	for i, r := range q {
@@ -972,7 +1008,33 @@ func (c *Controller) removeReq(queue *[]*request, req *request) {
 		}
 	}
 	c.indexFor(queue).remove(req)
+	c.release(req)
 	if queue != &c.fillQ {
+		c.notifySpace()
+	}
+}
+
+// filterQueue removes every request of queue that drop selects (drop
+// runs once per request, in queue order), resynchronizes the queue's
+// bank index, and returns the removed requests to the free list. With
+// notify set, a removal wakes any core waiting for queue space. Every
+// bulk removal (read merging, SRAM probes, fill drops) routes through
+// here.
+func (c *Controller) filterQueue(queue *[]*request, notify bool, drop func(*request) bool) {
+	kept := (*queue)[:0]
+	for _, req := range *queue {
+		if drop(req) {
+			c.release(req)
+			continue
+		}
+		kept = append(kept, req)
+	}
+	if len(kept) == len(*queue) {
+		return
+	}
+	*queue = kept
+	c.indexFor(queue).rebuild(kept)
+	if notify {
 		c.notifySpace()
 	}
 }

@@ -550,7 +550,8 @@ func TestROPBankServesFrozenBank(t *testing.T) {
 
 // TestEveryAcceptedReadCompletes is the controller's core liveness
 // invariant: under random traffic, every read the controller accepts
-// must eventually complete, in every refresh mode.
+// must eventually complete, in every refresh mode, and every request
+// object must return to the controller's free list.
 func TestEveryAcceptedReadCompletes(t *testing.T) {
 	for _, mode := range []Mode{
 		ModeBaseline, ModeNoRefresh, ModeROP, ModeElastic,
@@ -584,6 +585,10 @@ func TestEveryAcceptedReadCompletes(t *testing.T) {
 		}
 		if completed != accepted {
 			t.Errorf("%v: %d of %d accepted reads completed", mode, completed, accepted)
+		}
+		// Drained, every pooled request is back on the free list.
+		if !c.poolBalanced() || len(c.free) != c.reqMade {
+			t.Errorf("%v: %d requests allocated, %d free after drain", mode, c.reqMade, len(c.free))
 		}
 	}
 }
@@ -639,5 +644,55 @@ func TestROPBankWithNoRefreshParamsIsInert(t *testing.T) {
 	q.RunUntil(100000)
 	if c.RefreshesIssued.Value() != 0 {
 		t.Error("refreshes issued with REFI=0")
+	}
+}
+
+// TestRequestPoolConserved drives ROP traffic that exercises every way
+// a request leaves the controller — issue, SRAM probes of queued reads
+// at a freeze, fill drops at the deadline, fills merged into a demand
+// burst, and staged buffer inserts — and checks the pool identity
+// (allocated = free + queued + pending inserts) between events.
+func TestRequestPoolConserved(t *testing.T) {
+	for _, mode := range []Mode{ModeROP, ModeROPBank} {
+		c, q := newController(t, mode, func(cfg *Config) {
+			cfg.ROP.Gate = core.GateAlways
+			cfg.MaxRefreshDelay = 0.01 // fill sessions overrun: fills drop
+		})
+		p := c.Device().Params()
+		rng := rand.New(rand.NewSource(7))
+		horizon := 30 * p.REFI
+		var next [2]int64 // per-rank sequential line cursor
+		var drive func(now event.Cycle)
+		drive = func(now event.Cycle) {
+			if !c.poolBalanced() {
+				t.Fatalf("%v at %d: %d requests allocated, %d free, %d+%d+%d queued, %d inserting",
+					mode, now, c.reqMade, len(c.free), len(c.readQ), len(c.writeQ), len(c.fillQ), c.insertsPending)
+			}
+			r := rng.Intn(2)
+			line := next[r]
+			if rng.Intn(4) == 0 {
+				line = max(line-int64(rng.Intn(8)), 0) // revisit a recent line
+			} else {
+				next[r]++
+			}
+			loc := addr.LocFromBankLine(testGeo(), 0, r, int(line%8), line/8)
+			if rng.Intn(6) == 0 {
+				c.EnqueueWrite(loc, 0)
+			} else {
+				c.EnqueueRead(loc, 0, func(event.Cycle) {})
+			}
+			if at := now + event.Cycle(rng.Intn(25)+1); at <= horizon {
+				q.Schedule(at, drive)
+			}
+		}
+		q.Schedule(0, drive)
+		q.RunUntil(horizon + 5*p.REFI)
+		if c.FillsDropped.Value() == 0 || c.SRAMServed.Value() == 0 {
+			t.Errorf("%v: %d fills dropped, %d SRAM serves; the run must exercise both",
+				mode, c.FillsDropped.Value(), c.SRAMServed.Value())
+		}
+		if !c.poolBalanced() || len(c.free) != c.reqMade {
+			t.Errorf("%v: %d requests allocated, %d free after drain", mode, c.reqMade, len(c.free))
+		}
 	}
 }

@@ -281,7 +281,13 @@ func (c *Controller) startFills(rank int, now event.Cycle) {
 	if !rr.wantPrefetch {
 		return
 	}
-	locs := c.rop.GenerateCandidates(rank)
+	c.launchFills(rank, c.rop.GenerateCandidates(rank), now)
+}
+
+// launchFills claims the SRAM buffer for rank and queues locs as the
+// rank's prefetch fills, moving it to refFilling. With no candidates
+// the rank stays in refClosing.
+func (c *Controller) launchFills(rank int, locs []addr.Loc, now event.Cycle) {
 	if len(locs) == 0 {
 		return
 	}
@@ -297,8 +303,9 @@ func (c *Controller) startFills(rank int, now event.Cycle) {
 	}
 	c.sessionInsertedMark = buf.Inserted.Value()
 	for _, loc := range locs {
-		c.pushRequest(&c.fillQ, &request{loc: loc, arrive: now, prefetch: true})
+		c.pushRequest(&c.fillQ, c.newRequest(loc, now, 0, true, nil))
 	}
+	rr := &c.refresh[rank]
 	rr.fillStart = now
 	rr.phase = refFilling
 }
@@ -317,16 +324,13 @@ func (c *Controller) hasFills(rank int) bool {
 // dropFills abandons any prefetch fills for the rank that did not make
 // the drain deadline; whatever was inserted into the buffer stays.
 func (c *Controller) dropFills(rank int) {
-	kept := c.fillQ[:0]
-	for _, req := range c.fillQ {
+	c.filterQueue(&c.fillQ, false, func(req *request) bool {
 		if req.loc.Rank != rank {
-			kept = append(kept, req)
-		} else {
-			c.FillsDropped.Inc()
+			return false
 		}
-	}
-	c.fillQ = kept
-	c.fillIdx.rebuild(c.fillQ)
+		c.FillsDropped.Inc()
+		return true
+	})
 }
 
 // closeStep precharges one open bank, or issues REF once the rank is
@@ -374,7 +378,7 @@ func (c *Controller) closeStep(rank int, now event.Cycle) bool {
 	// Reads that are still queued for this rank ride out the freeze
 	// unless the SRAM buffer can serve them right now.
 	if c.rop != nil {
-		c.probeQueuedReads(rank, now)
+		c.probeQueuedReads(now, func(l addr.Loc) bool { return l.Rank == rank })
 	}
 	return true
 }
@@ -420,29 +424,19 @@ func (c *Controller) issueSegment(rank int, now event.Cycle) bool {
 	return true
 }
 
-// probeQueuedReads serves queued demand reads to the frozen rank from
-// the SRAM buffer where possible.
-func (c *Controller) probeQueuedReads(rank int, now event.Cycle) {
-	kept := c.readQ[:0]
-	for _, req := range c.readQ {
-		if req.loc.Rank == rank && !req.prefetch && c.rop.ProbeRead(req.loc, now, true) {
-			c.SRAMServed.Inc()
-			c.ReadsServed.Inc()
-			fin := now + c.cfg.SRAMLatency
-			c.observeRead(float64(fin - req.arrive))
-			if req.done != nil {
-				done := req.done
-				c.q.Schedule(fin, func(at event.Cycle) { done(at) })
-			}
-			continue
+// probeQueuedReads serves the queued demand reads that frozen selects
+// (those to the rank or refresh slot that just froze) from the SRAM
+// buffer where possible.
+func (c *Controller) probeQueuedReads(now event.Cycle, frozen func(addr.Loc) bool) {
+	fin := now + c.cfg.SRAMLatency
+	c.filterQueue(&c.readQ, true, func(req *request) bool {
+		if !frozen(req.loc) || !c.rop.ProbeRead(req.loc, now, true) {
+			return false
 		}
-		kept = append(kept, req)
-	}
-	if len(kept) != len(c.readQ) {
-		c.readQ = kept
-		c.readIdx.rebuild(c.readQ)
-		c.notifySpace()
-	}
+		c.SRAMServed.Inc()
+		c.finishRead(req.arrive, fin, req.done)
+		return true
+	})
 }
 
 // SetDebugElastic installs the elastic-refresh test hook (diagnostics).
@@ -509,23 +503,7 @@ func (c *Controller) startBankFills(rank int, now event.Cycle) {
 	for _, b := range c.dev.SlotBanks(rr.targetBank) {
 		locs = append(locs, c.rop.GenerateBankCandidates(rank, b)...)
 	}
-	if len(locs) == 0 {
-		return
-	}
-	buf := c.rop.Buffer()
-	if prev := buf.Owner(); prev >= 0 {
-		inserted := int(buf.Inserted.Value() - c.sessionInsertedMark)
-		c.rop.NoteSessionEnd(prev, inserted, inserted-buf.UsedCount())
-	}
-	if !buf.Acquire(rank) {
-		return
-	}
-	c.sessionInsertedMark = buf.Inserted.Value()
-	for _, loc := range locs {
-		c.pushRequest(&c.fillQ, &request{loc: loc, arrive: now, prefetch: true})
-	}
-	rr.fillStart = now
-	rr.phase = refFilling
+	c.launchFills(rank, locs, now)
 }
 
 // closeBankStep precharges the target refresh slot's open banks (one
@@ -590,7 +568,9 @@ func (c *Controller) closeBankStep(rank int, now event.Cycle) bool {
 	rr.refEnd = end
 	rr.phase = refRefreshing
 	if c.rop != nil {
-		c.probeQueuedBankReads(rank, slot, now)
+		c.probeQueuedReads(now, func(l addr.Loc) bool {
+			return l.Rank == rank && c.dev.SlotOf(l.Bank) == slot
+		})
 	}
 	if !c.oooMode() {
 		rr.targetBank = (rr.targetBank + 1) % c.dev.RefreshSlots()
@@ -674,32 +654,6 @@ func (c *Controller) pickOoOSlot(rank int, now event.Cycle) (slot int, pullIn bo
 		return -1, false
 	}
 	return best, rr.slotDue[best] > now
-}
-
-// probeQueuedBankReads serves queued reads to the frozen slot's banks
-// from the SRAM buffer where possible.
-func (c *Controller) probeQueuedBankReads(rank, slot int, now event.Cycle) {
-	kept := c.readQ[:0]
-	for _, req := range c.readQ {
-		if req.loc.Rank == rank && c.dev.SlotOf(req.loc.Bank) == slot && !req.prefetch &&
-			c.rop.ProbeRead(req.loc, now, true) {
-			c.SRAMServed.Inc()
-			c.ReadsServed.Inc()
-			fin := now + c.cfg.SRAMLatency
-			c.observeRead(float64(fin - req.arrive))
-			if req.done != nil {
-				done := req.done
-				c.q.Schedule(fin, func(at event.Cycle) { done(at) })
-			}
-			continue
-		}
-		kept = append(kept, req)
-	}
-	if len(kept) != len(c.readQ) {
-		c.readQ = kept
-		c.readIdx.rebuild(c.readQ)
-		c.notifySpace()
-	}
 }
 
 // closeSubarrayStep precharges the target subarray's open row (if any)

@@ -26,10 +26,10 @@ type Checker struct {
 	lastPRE    [][]event.Cycle
 	lastRDCmd  [][]event.Cycle
 	lastWRCmd  [][]event.Cycle
-	rankACTs   [][]event.Cycle // ACT history per rank (for tRRD/tFAW)
-	lastWREnd  []event.Cycle   // per rank: end of last write burst
-	refEnd     []event.Cycle   // per rank
-	bankRefEnd [][]event.Cycle // per bank: end of an in-flight REFpb
+	rankACTs   [][]event.Cycle   // ACT history per rank (for tRRD/tFAW)
+	lastWREnd  []event.Cycle     // per rank: end of last write burst
+	refEnd     []event.Cycle     // per rank
+	bankRefEnd [][]event.Cycle   // per bank: end of an in-flight REFpb
 	saRefEnd   [][][]event.Cycle // per bank: subarray-refresh ends, lazily allocated
 	busBusyTil event.Cycle
 	seen       bool // any command seen yet

@@ -337,3 +337,34 @@ func TestPeekTimeIncludesChains(t *testing.T) {
 		t.Fatal("chained wake did not fire by its target")
 	}
 }
+
+// TestChainPassed pins ChainPassed: within a cycle a chained wake has
+// not passed while only events scheduled before the cycle began
+// dispatch, and has passed once an event scheduled during the cycle
+// dispatches; fired and zero handles report false.
+func TestChainPassed(t *testing.T) {
+	var q Queue
+	var h ChainHandle
+	var before, after bool
+	q.Schedule(3, func(Cycle) {
+		h = q.ScheduleChained(20, func(Cycle) {})
+	})
+	q.Schedule(5, func(now Cycle) {
+		before = q.ChainPassed(h)
+		q.Schedule(now, func(Cycle) { after = q.ChainPassed(h) })
+	})
+	q.RunUntil(5)
+	if before {
+		t.Fatal("ChainPassed true before any younger dispatch this cycle")
+	}
+	if !after {
+		t.Fatal("ChainPassed false after a younger dispatch this cycle")
+	}
+	q.Run(100)
+	if q.ChainPassed(h) {
+		t.Fatal("ChainPassed true for a fired chain")
+	}
+	if q.ChainPassed(ChainHandle{}) {
+		t.Fatal("ChainPassed true for the zero handle")
+	}
+}

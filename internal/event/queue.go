@@ -235,6 +235,21 @@ func (q *Queue) RetargetChained(h ChainHandle, at Cycle) bool {
 	return false
 }
 
+// ChainPassed reports whether the pending chained wake h has already
+// virtually passed the current cycle: an event younger than the chain's
+// position dispatched at this cycle, so the tick of the per-cycle
+// polling chain it stands for has fired here and re-armed for the next
+// cycle. It reports false for a handle that no longer refers to a
+// pending chained wake.
+func (q *Queue) ChainPassed(h ChainHandle) bool {
+	for i := range q.chains {
+		if q.chains[i].id == h.id {
+			return q.chains[i].lastPass == q.now
+		}
+	}
+	return false
+}
+
 // Cancel revokes a scheduled event: its callback will never run. It
 // reports whether the handle still referred to a pending event (false
 // when already fired, already cancelled, or zero). Cancellation is O(1);

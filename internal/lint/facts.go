@@ -218,29 +218,29 @@ var stdlibFacts = map[string]FuncFact{
 	"(*os/exec.Cmd).Output":         {Blocks: BlockIO},
 	"(*os/exec.Cmd).CombinedOutput": {Blocks: BlockIO},
 	// net/http.
-	"(*net/http.Client).Do":              {Blocks: BlockIO},
-	"(*net/http.Client).Get":             {Blocks: BlockIO},
-	"(*net/http.Client).Post":            {Blocks: BlockIO},
-	"net/http.ListenAndServe":            {Blocks: BlockIO},
-	"(*net/http.Server).ListenAndServe":  {Blocks: BlockIO},
-	"(*net/http.Server).Serve":           {Blocks: BlockIO},
-	"(*net/http.Server).Shutdown":        {Blocks: BlockIO},
+	"(*net/http.Client).Do":             {Blocks: BlockIO},
+	"(*net/http.Client).Get":            {Blocks: BlockIO},
+	"(*net/http.Client).Post":           {Blocks: BlockIO},
+	"net/http.ListenAndServe":           {Blocks: BlockIO},
+	"(*net/http.Server).ListenAndServe": {Blocks: BlockIO},
+	"(*net/http.Server).Serve":          {Blocks: BlockIO},
+	"(*net/http.Server).Shutdown":       {Blocks: BlockIO},
 	// encoding/json stream decoding reads from the underlying reader.
 	"(*encoding/json.Decoder).Decode": {Blocks: BlockIO},
 	// encoding/binary: the wire-integer sources boundalloc taints.
-	"encoding/binary.Uvarint":                {WireResults: 1},
-	"encoding/binary.Varint":                 {WireResults: 1},
-	"encoding/binary.ReadUvarint":            {Blocks: BlockIO, WireResults: 1},
-	"encoding/binary.ReadVarint":             {Blocks: BlockIO, WireResults: 1},
-	"(encoding/binary.ByteOrder).Uint16":     {WireResults: 1},
-	"(encoding/binary.ByteOrder).Uint32":     {WireResults: 1},
-	"(encoding/binary.ByteOrder).Uint64":     {WireResults: 1},
-	"(encoding/binary.littleEndian).Uint16":  {WireResults: 1},
-	"(encoding/binary.littleEndian).Uint32":  {WireResults: 1},
-	"(encoding/binary.littleEndian).Uint64":  {WireResults: 1},
-	"(encoding/binary.bigEndian).Uint16":     {WireResults: 1},
-	"(encoding/binary.bigEndian).Uint32":     {WireResults: 1},
-	"(encoding/binary.bigEndian).Uint64":     {WireResults: 1},
+	"encoding/binary.Uvarint":               {WireResults: 1},
+	"encoding/binary.Varint":                {WireResults: 1},
+	"encoding/binary.ReadUvarint":           {Blocks: BlockIO, WireResults: 1},
+	"encoding/binary.ReadVarint":            {Blocks: BlockIO, WireResults: 1},
+	"(encoding/binary.ByteOrder).Uint16":    {WireResults: 1},
+	"(encoding/binary.ByteOrder).Uint32":    {WireResults: 1},
+	"(encoding/binary.ByteOrder).Uint64":    {WireResults: 1},
+	"(encoding/binary.littleEndian).Uint16": {WireResults: 1},
+	"(encoding/binary.littleEndian).Uint32": {WireResults: 1},
+	"(encoding/binary.littleEndian).Uint64": {WireResults: 1},
+	"(encoding/binary.bigEndian).Uint16":    {WireResults: 1},
+	"(encoding/binary.bigEndian).Uint32":    {WireResults: 1},
+	"(encoding/binary.bigEndian).Uint64":    {WireResults: 1},
 }
 
 // calleeFunc resolves a call expression's static callee, or nil for

@@ -32,7 +32,7 @@ func TestBlockClassString(t *testing.T) {
 
 func TestBlockClassMayBlock(t *testing.T) {
 	c := BlockChan | BlockIO
-	if !c.MayBlock(BlockChan) || !c.MayBlock(BlockIO | BlockLock) {
+	if !c.MayBlock(BlockChan) || !c.MayBlock(BlockIO|BlockLock) {
 		t.Errorf("%v should intersect chan and io|lock", c)
 	}
 	if c.MayBlock(BlockLock | BlockCond) {

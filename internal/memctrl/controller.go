@@ -201,6 +201,16 @@ type Controller struct {
 	// queues (see bankIndex); reqSeq stamps requests with their age.
 	readIdx, writeIdx, fillIdx bankIndex
 	reqSeq                     int64
+	// devVer counts issued commands and refresh phase steps: the device
+	// timing and refresh blocking state the queue plans were swept under.
+	devVer uint64
+	// drainAt is the cycle of the last wake computation; drainNext holds
+	// the drain flag after an even and an odd number of polled updates
+	// since, and drainMoves is set while those differ from the flag
+	// (see scheduleWake and syncDrain).
+	drainAt    event.Cycle
+	drainNext  [2]bool
+	drainMoves bool
 
 	refresh []rankRefresh
 	rop     *core.Engine
@@ -318,6 +328,9 @@ func New(cfg Config, dev *dram.Device, q *event.Queue) (*Controller, error) {
 		return nil, err
 	}
 	geo := dev.Geometry()
+	if geo.Banks > maxIndexBanks {
+		return nil, fmt.Errorf("memctrl: %d banks per rank, at most %d supported", geo.Banks, maxIndexBanks)
+	}
 	p0 := dev.Params()
 	if p0.REFI > 0 {
 		switch cfg.Mode {
@@ -341,12 +354,13 @@ func New(cfg Config, dev *dram.Device, q *event.Queue) (*Controller, error) {
 		q:               q,
 		geo:             geo,
 		wakeAt:          -1,
+		devVer:          1, // no zero-valued queue plan is ever current
 		ReadLatencyHist: stats.NewHistogram(readLatencyBounds...),
 	}
 	c.tickFn = c.tick
-	c.readIdx.init(geo)
-	c.writeIdx.init(geo)
-	c.fillIdx.init(geo)
+	c.readIdx.init(geo, false, true)
+	c.writeIdx.init(geo, true, true)
+	c.fillIdx.init(geo, false, false)
 	p := dev.Params()
 	if cfg.Mode != ModeNoRefresh && p.REFI > 0 {
 		c.refresh = make([]rankRefresh, geo.Ranks)
@@ -440,8 +454,10 @@ func (c *Controller) SetCommandObserver(fn func(dram.Command)) { c.cmdObs = fn }
 // emit records an issued command into the capture trace (when enabled)
 // and forwards it to the command observer (when registered). Every
 // command-issue site routes through here so the sanitizer sees the
-// complete stream.
+// complete stream, and so the device version the queue plans depend on
+// moves with every change of device timing state.
 func (c *Controller) emit(cmd dram.Command) {
+	c.devVer++
 	if c.cfg.Mode == ModeSARP {
 		switch cmd.Kind {
 		case dram.CmdACT, dram.CmdRD, dram.CmdWR:
@@ -484,6 +500,10 @@ func (c *Controller) WriteQueueLen() int { return len(c.writeQ) }
 // against it. If the chained wake was armed during the current cycle
 // (the chain's tick for this cycle already fired), a fresh plain tick
 // is scheduled, exactly as the polling loop's ensureWake would have.
+// A sleep over which the drain flag moves (drainMoves) whose chain
+// already passed the current cycle is handled the same way. Other
+// sleeps still pull the chain forward in that case, one cycle position
+// off the polling loop (DESIGN.md §7).
 func (c *Controller) ensureWake(at event.Cycle) {
 	now := c.q.Now()
 	if at < now {
@@ -495,8 +515,15 @@ func (c *Controller) ensureWake(at event.Cycle) {
 	if debugWake != nil {
 		debugWake("arm", now, at, int(c.wakeAt))
 	}
-	if c.wakeChained && c.wakeAt > at {
-		if c.wakeArmedAt < at && c.q.RetargetChained(c.wakeChain, at) {
+	if c.wakeChained && c.wakeAt > at && c.wakeArmedAt < at {
+		if at == now && c.drainMoves && c.q.ChainPassed(c.wakeChain) {
+			// The sleeping chain already ticked this cycle, so the polling
+			// loop updated the drain flag and re-armed for now+1 before
+			// this call: replay that update, keep the chain's position for
+			// now+1, and tick again at now below.
+			c.syncDrain(now + 1)
+			c.q.RetargetChained(c.wakeChain, now+1)
+		} else if c.q.RetargetChained(c.wakeChain, at) {
 			c.wakeAt = at
 			return
 		}
@@ -569,12 +596,18 @@ func (c *Controller) EnqueueWrite(loc addr.Loc, src int) bool {
 
 // pushRequest stamps req's age, appends it to the queue, and mirrors
 // it into the queue's bank index. Every enqueue site routes through
-// here so queue and index cannot drift.
+// here so queue and index cannot drift. A queue plan that was current
+// before the push stays current: req is folded into it.
 func (c *Controller) pushRequest(queue *[]*request, req *request) {
 	c.reqSeq++
 	req.seq = c.reqSeq
 	*queue = append(*queue, req)
-	c.indexFor(queue).add(req)
+	ix := c.indexFor(queue)
+	fold := ix.plan.ver == ix.ver && ix.plan.devVer == c.devVer
+	ix.add(req)
+	if fold {
+		c.foldPlan(ix, req)
+	}
 }
 
 // newRequest takes a request from the free list, allocating one (and
@@ -654,6 +687,8 @@ func (c *Controller) tick(now event.Cycle) {
 		debugWake("fire", now, now, int(now))
 	}
 
+	moves := c.drainMoves
+	c.syncDrain(now)
 	var preDrain bool
 	var prePhases [16]refPhase
 	if CrossCheckWake {
@@ -671,7 +706,17 @@ func (c *Controller) tick(now event.Cycle) {
 		issued = c.closeIdleRows(now)
 	}
 	if CrossCheckWake {
-		changed := issued || preDrain != c.draining
+		flipped := preDrain != c.draining
+		if moves && c.lastExact > now {
+			// The exact wake would have slept through this tick; its drain
+			// flag update is work only if syncDrain would not replay it.
+			if want := c.drainAfter(now); c.draining != want {
+				panic(fmt.Sprintf("drain flag replay diverged: now=%d armed=%d draining %v, replay %v",
+					now, c.drainAt, c.draining, want))
+			}
+			flipped = false
+		}
+		changed := issued || flipped
 		for r := range c.refresh {
 			changed = changed || prePhases[r] != c.refresh[r].phase
 		}
@@ -680,6 +725,9 @@ func (c *Controller) tick(now event.Cycle) {
 				now, c.lastExact, issued, c.cfg.Mode, preDrain, c.draining))
 		}
 		c.lastExact = c.nextWake(now)
+		if issued && c.Idle() {
+			c.lastExact = now + 1 // armAfterTick runs the final no-op tick
+		}
 		if !c.poolBalanced() {
 			panic(fmt.Sprintf("request pool leak: %d allocated, %d free, %d+%d+%d queued, %d inserting",
 				c.reqMade, len(c.free), len(c.readQ), len(c.writeQ), len(c.fillQ), c.insertsPending))
@@ -704,12 +752,14 @@ func (c *Controller) tick(now event.Cycle) {
 
 // CrossCheckWake is a validation hook for the exact wake discipline:
 // when set, every tick re-arms at the original per-cycle polling
-// cadence (so simulations still produce bit-identical results) and
-// panics if the exact wake computed after the previous tick would have
-// slept past a cycle where this tick issued a command or advanced
-// controller state, or if the request pool's conservation identity
-// (poolBalanced) fails. TestCrossCheckWake runs full simulations in
-// every refresh mode under it. Not safe to toggle mid-run.
+// cadence and panics if the exact wake computed after the previous tick
+// would have slept past a cycle where this tick issued a command or
+// advanced controller state (a drain flag flip that syncDrain would
+// replay does not count, but must match the replay), if a queue plan
+// reused without a sweep differs from a fresh sweep, or if the request
+// pool's conservation identity (poolBalanced) fails. TestCrossCheckWake
+// runs full simulations in every refresh mode under it. Not safe to
+// toggle mid-run.
 var CrossCheckWake bool
 
 // nextRefreshDue reports the earliest cycle at which any rank's
@@ -737,7 +787,7 @@ func (c *Controller) nextRefreshDue() (event.Cycle, bool) {
 // bankMode reports whether refresh runs at bank granularity: a due
 // refresh targets one slot and demand blocking is per bank, not per
 // rank. SARP qualifies — its refresh command covers a slot — but its
-// banks never set refBusyUntil, so bankBlocked only covers the brief
+// banks never set refBusyUntil, so blockedBanks only covers the brief
 // refClosing quiesce of the target slot.
 func (c *Controller) bankMode() bool {
 	switch c.cfg.Mode {
@@ -829,169 +879,77 @@ func (c *Controller) scheduleStep(now event.Cycle) bool {
 	// over write drain batches: fills have a hard deadline before the
 	// refresh freezes the rank, writes are posted and can wait.
 	if !c.draining || len(c.fillQ) > 0 {
-		if c.issueFrom(&c.readQ, now, false) {
+		if c.issueFrom(&c.readQ, now) {
 			return true
 		}
-		if len(c.fillQ) > 0 && c.issueFrom(&c.fillQ, now, false) {
+		if c.issueFrom(&c.fillQ, now) {
 			return true
 		}
 		if c.draining {
-			return c.issueFrom(&c.writeQ, now, true)
+			return c.issueFrom(&c.writeQ, now)
 		}
 		return false
 	}
-	if c.issueFrom(&c.writeQ, now, true) {
+	if c.issueFrom(&c.writeQ, now) {
 		return true
 	}
 	// Drain mode with nothing issuable: let reads through anyway so a
 	// blocked write bank does not stall ready reads.
-	return c.issueFrom(&c.readQ, now, false)
+	return c.issueFrom(&c.readQ, now)
 }
 
-// bankBlocked is the bank-granularity refresh block (bank modes only):
-// the round's target refresh slot covers the bank and is quiescing, or
-// the bank is locked by its per-bank refresh.
-func (c *Controller) bankBlocked(rank, bank int, now event.Cycle) bool {
-	if c.refresh != nil {
-		if rr := &c.refresh[rank]; rr.phase == refClosing && rr.targetBank == c.dev.SlotOf(bank) {
-			return true
-		}
+// issueFrom issues the command FR-FCFS picks from one queue at now, if
+// any: the oldest request whose column command (RD, or WR for the
+// write queue) is legal now, else the oldest whose bank-preparation
+// command (PRE for a conflicting open row, ACT for a precharged bank)
+// is. A row hit whose column command is not yet legal waits rather than
+// churns, so it never prepares. The pick comes from the queue's plan
+// (see plan), which the previous tick's wake computation usually left
+// valid, so most issues cost no sweep. It reports whether a command was
+// issued.
+func (c *Controller) issueFrom(queue *[]*request, now event.Cycle) bool {
+	if len(*queue) == 0 {
+		return false
 	}
-	return c.dev.BankRefreshing(rank, bank, now)
+	p := c.plan(c.indexFor(queue), now)
+	if p.at != now {
+		return false
+	}
+	if p.hit {
+		c.issueColumn(queue, p.req, now)
+	} else {
+		c.issuePrep(p.req, now)
+	}
+	return true
 }
 
-// issueFrom applies FR-FCFS to one queue via its per-bank index. It
-// reports whether a command was issued (RD/WR data, ACT, or PRE).
-// Within each bank the index list is age-ordered, so the bank's oldest
-// row hit (pass 1) or oldest preparation candidate (pass 2) is found
-// without scanning the whole queue; the winner across banks is the one
-// with the lowest seq, which reproduces the original oldest-first
-// full-queue scan exactly.
-func (c *Controller) issueFrom(queue *[]*request, now event.Cycle, isWrite bool) bool {
-	ix := c.indexFor(queue)
-	demand := queue != &c.fillQ
-	// Pass 1: oldest row hit whose column command is legal now.
-	var hit *request
-	for r := 0; r < c.geo.Ranks; r++ {
-		if ix.rankN[r] == 0 || c.dev.Refreshing(r, now) {
-			continue
-		}
-		if demand && !c.bankMode() && c.refresh != nil && c.refresh[r].phase == refClosing {
-			continue
-		}
-		for b := 0; b < c.geo.Banks; b++ {
-			l := ix.list(r, b)
-			if len(l) == 0 {
-				continue
-			}
-			if demand && c.bankMode() && c.bankBlocked(r, b, now) {
-				continue
-			}
-			open := c.dev.OpenRow(r, b)
-			if open < 0 {
-				continue
-			}
-			var cand *request
-			for _, req := range l {
-				if int64(req.loc.Row) == open {
-					cand = req
-					break
-				}
-			}
-			if cand == nil || (hit != nil && cand.seq > hit.seq) {
-				continue
-			}
-			if isWrite {
-				if c.dev.EarliestWR(now, r, b) != now {
-					continue
-				}
-			} else if c.dev.EarliestRD(now, r, b) != now {
-				continue
-			}
-			hit = cand
-		}
+// issueColumn issues req's RD or WR at now and retires the request.
+func (c *Controller) issueColumn(queue *[]*request, req *request, now event.Cycle) {
+	r, b := req.loc.Rank, req.loc.Bank
+	if queue == &c.writeQ {
+		c.dev.IssueWR(now, r, b)
+		c.emit(dram.Command{Kind: dram.CmdWR, At: now, Rank: r, Bank: b, Col: req.loc.Col})
+		c.WritesServed.Inc()
+		c.removeReq(queue, req)
+		return
 	}
-	if hit != nil {
-		r, b := hit.loc.Rank, hit.loc.Bank
-		if isWrite {
-			c.dev.IssueWR(now, r, b)
-			c.emit(dram.Command{Kind: dram.CmdWR, At: now,
-				Rank: r, Bank: b, Col: hit.loc.Col})
-			c.WritesServed.Inc()
-			c.removeReq(queue, hit)
-			return true
-		}
-		dataAt := c.dev.IssueRD(now, r, b)
-		c.emit(dram.Command{Kind: dram.CmdRD, At: now,
-			Rank: r, Bank: b, Col: hit.loc.Col})
-		c.completeRead(hit, dataAt)
-		c.removeReq(queue, hit)
-		return true
+	dataAt := c.dev.IssueRD(now, r, b)
+	c.emit(dram.Command{Kind: dram.CmdRD, At: now, Rank: r, Bank: b, Col: req.loc.Col})
+	c.completeRead(req, dataAt)
+	c.removeReq(queue, req)
+}
+
+// issuePrep issues the bank-preparation command req needs at now: PRE
+// for a conflicting open row, else ACT of req's row.
+func (c *Controller) issuePrep(req *request, now event.Cycle) {
+	r, b := req.loc.Rank, req.loc.Bank
+	if c.dev.OpenRow(r, b) >= 0 {
+		c.dev.IssuePRE(now, r, b)
+		c.emit(dram.Command{Kind: dram.CmdPRE, At: now, Rank: r, Bank: b})
+		return
 	}
-	// Pass 2: oldest request whose bank-preparation command (PRE for a
-	// conflicting open row, ACT for a precharged bank) is legal now. A
-	// row hit whose column command is not yet legal waits rather than
-	// churns, so it never prepares.
-	var prep *request
-	for r := 0; r < c.geo.Ranks; r++ {
-		if ix.rankN[r] == 0 || c.dev.Refreshing(r, now) {
-			continue
-		}
-		if demand && !c.bankMode() && c.refresh != nil && c.refresh[r].phase == refClosing {
-			continue
-		}
-		for b := 0; b < c.geo.Banks; b++ {
-			l := ix.list(r, b)
-			if len(l) == 0 {
-				continue
-			}
-			if demand && c.bankMode() && c.bankBlocked(r, b, now) {
-				continue
-			}
-			open := c.dev.OpenRow(r, b)
-			if open >= 0 {
-				var cand *request
-				for _, req := range l {
-					if int64(req.loc.Row) != open {
-						cand = req
-						break
-					}
-				}
-				if cand == nil || (prep != nil && cand.seq > prep.seq) {
-					continue
-				}
-				if c.dev.EarliestPRE(now, r, b) == now {
-					prep = cand
-				}
-				continue
-			}
-			if c.dev.EarliestACT(now, r, b) != now {
-				continue // no row of this bank can activate yet
-			}
-			for _, req := range l {
-				if prep != nil && req.seq > prep.seq {
-					break
-				}
-				if c.dev.EarliestACTRow(now, r, b, req.loc.Row) == now {
-					prep = req
-					break
-				}
-			}
-		}
-	}
-	if prep != nil {
-		r, b := prep.loc.Rank, prep.loc.Bank
-		if c.dev.OpenRow(r, b) >= 0 {
-			c.dev.IssuePRE(now, r, b)
-			c.emit(dram.Command{Kind: dram.CmdPRE, At: now, Rank: r, Bank: b})
-			return true
-		}
-		c.dev.IssueACT(now, r, b, prep.loc.Row)
-		c.emit(dram.Command{Kind: dram.CmdACT, At: now,
-			Rank: r, Bank: b, Row: prep.loc.Row})
-		return true
-	}
-	return false
+	c.dev.IssueACT(now, r, b, req.loc.Row)
+	c.emit(dram.Command{Kind: dram.CmdACT, At: now, Rank: r, Bank: b, Row: req.loc.Row})
 }
 
 // removeReq deletes req from the given queue and its bank index,

@@ -229,6 +229,9 @@ func (c *Controller) refreshStep(now event.Cycle) bool {
 					progress = true
 				}
 			}
+			if progress {
+				c.devVer++ // the phase step may change refresh blocking
+			}
 		}
 	}
 	return false
@@ -311,14 +314,14 @@ func (c *Controller) launchFills(rank int, locs []addr.Loc, now event.Cycle) {
 }
 
 // hasDemandReads reports whether any queued demand read targets rank
-// (an O(1) read of the bank index's per-rank count).
+// (an O(1) read of the bank index's occupancy mask).
 func (c *Controller) hasDemandReads(rank int) bool {
-	return c.readIdx.rankN[rank] > 0
+	return c.readIdx.occ[rank] != 0
 }
 
 // hasFills reports whether any prefetch fill for rank is still pending.
 func (c *Controller) hasFills(rank int) bool {
-	return c.fillIdx.rankN[rank] > 0
+	return c.fillIdx.occ[rank] != 0
 }
 
 // dropFills abandons any prefetch fills for the rank that did not make
@@ -410,6 +413,7 @@ func (c *Controller) issueSegment(rank int, now event.Cycle) bool {
 		dur += p.RFC % pauseSegments // remainder sticks to the last segment
 	}
 	end := c.dev.IssueREFSegment(now, rank, dur)
+	c.devVer++ // segments bypass emit, which bumps it for every other command
 	rr.segDone++
 	rr.refEnd = end
 	rr.phase = refRefreshing
@@ -484,7 +488,7 @@ func (c *Controller) beginBankRefresh(rank int, now event.Cycle) {
 // the given refresh slot.
 func (c *Controller) hasBankReads(rank, slot int) bool {
 	for _, b := range c.dev.SlotBanks(slot) {
-		if len(c.readIdx.list(rank, b)) > 0 {
+		if c.readIdx.has(rank, b) {
 			return true
 		}
 	}
@@ -610,7 +614,7 @@ func (c *Controller) oooSlotIdle(rank, slot int) bool {
 // given refresh slot.
 func (c *Controller) hasBankWrites(rank, slot int) bool {
 	for _, b := range c.dev.SlotBanks(slot) {
-		if len(c.writeIdx.list(rank, b)) > 0 {
+		if c.writeIdx.has(rank, b) {
 			return true
 		}
 	}

@@ -1,7 +1,9 @@
 package memctrl
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 
 	"ropsim/internal/event"
 )
@@ -9,13 +11,12 @@ import (
 // This file implements the controller's exact wake discipline: instead
 // of re-arming a tick at now+1 whenever any work is pending (the
 // original busy-polling, which burned an event per simulated cycle
-// through every refresh freeze and timing stall), armNextWake computes
+// through every refresh freeze and timing stall), armAfterTick computes
 // the first cycle at which the controller could actually do anything —
 // issue a command, or advance a refresh phase — and sleeps until then.
 //
-// The computation is exact, not a heuristic, which is what keeps the
-// simulation bit-identical to per-cycle polling: between controller
-// ticks the DRAM timing state is constant (it only advances when the
+// The computation is exact, not a heuristic: between controller ticks
+// the DRAM timing state is constant (it only advances when the
 // controller issues commands) and the queues only change at enqueues
 // (which arm an immediate tick of their own). So the first
 // "interesting" cycle is a pure function of the state at arm time:
@@ -23,14 +24,17 @@ import (
 //     (refreshWake): due boundaries, drain/fill deadlines, the closing
 //     sequence's next legal PRE/REF, and the freeze end;
 //   - per queue, the earliest legal issue cycle over the per-bank
-//     pending lists (queueWake), via dram.Device.NextReadyCycle;
+//     pending lists (queueWake), via dram.Device.NextReadyCycle; the
+//     same sweep names the request to serve then, and is kept as the
+//     queue's plan so the tick that wakes issues it without sweeping
+//     again;
 //   - under the closed-page ablation, the earliest legal idle-row PRE
 //     (closePageWake).
-// Conditions that the original code re-evaluated one cycle later by
-// construction (queue-emptiness phase transitions, and the write-drain
-// hysteresis when its one-step update does not reach a fixed point)
-// return now+1, reproducing the polling cadence exactly where it is
-// semantically observable.
+// Queue-emptiness phase transitions, which the original loop acted on
+// one tick later by construction, return now+1. The write-drain flag,
+// which every polled tick updates, is replayed instead (syncDrain) when
+// it oscillates or settles with the queues empty; DESIGN.md §7 lists
+// where sleeping still differs from polling.
 
 // cycleNever is the "no wake needed" sentinel, beyond any simulated
 // time.
@@ -245,64 +249,119 @@ func (c *Controller) nextDrainState(d bool) bool {
 }
 
 // scheduleWake reports the earliest cycle scheduleStep could issue a
-// command, given the queues and the write-drain hysteresis state.
+// command, given the queues and the write-drain hysteresis state. The
+// sweeps it runs are stored as the queues' plans, which the next tick's
+// issueFrom issues without sweeping again. It also records how the
+// drain flag would evolve under per-cycle polling, for syncDrain.
 func (c *Controller) scheduleWake(now event.Cycle) event.Cycle {
-	if len(c.readQ) == 0 && len(c.writeQ) == 0 && len(c.fillQ) == 0 {
+	// Every polled tick updates the drain flag once, so over a sleep it
+	// runs f1, f2, f1, f2, ...: either it settles after one step, or it
+	// oscillates and every other tick can issue a write. syncDrain
+	// replays an oscillating flag, and one settling with the queues
+	// empty; one settling with work queued keeps its one-update lag
+	// across the sleep (DESIGN.md §7).
+	f1 := c.nextDrainState(c.draining)
+	f2 := c.nextDrainState(f1)
+	c.drainAt, c.drainNext = now, [2]bool{f2, f1}
+	empty := len(c.readQ) == 0 && len(c.writeQ) == 0 && len(c.fillQ) == 0
+	c.drainMoves = f1 != f2 || empty && f1 != c.draining
+	if empty {
 		return cycleNever
 	}
-	// The drain flag updates once per tick. If one update step is not a
-	// fixed point (the flag would oscillate under per-cycle polling,
-	// issuing a write every other cycle), fall back to ticking every
-	// cycle — that cadence is observable in the command stream.
-	f1 := c.nextDrainState(c.draining)
-	if f1 != c.nextDrainState(f1) {
-		return now + 1
+	if f1 != f2 {
+		return c.drainOscWake(now)
 	}
-	t := c.queueWake(&c.readIdx, now, false, true)
+	from := now + 1
+	t := c.plan(&c.readIdx, from).at
 	if len(c.fillQ) > 0 {
-		t = minCycle(t, c.queueWake(&c.fillIdx, now, false, false))
+		t = minCycle(t, c.plan(&c.fillIdx, from).at)
 	}
 	if f1 {
-		t = minCycle(t, c.queueWake(&c.writeIdx, now, true, true))
+		t = minCycle(t, c.plan(&c.writeIdx, from).at)
 	}
 	return t
 }
 
-// queueWake reports the earliest cycle any request in the indexed
-// queue could issue its next command (column access, PRE, or ACT), or
-// cycleNever when nothing is pending. demand applies the refresh
-// blocking rules that issueFrom applies to non-prefetch traffic; banks
-// skipped here (quiescing rank or target bank) are re-armed by the
-// tick that advances the refresh phase.
-func (c *Controller) queueWake(ix *bankIndex, now event.Cycle, isWrite, demand bool) event.Cycle {
-	t := cycleNever
-	base := now + 1
+// drainOscWake is scheduleWake for a drain flag that does not settle:
+// no reads or fills are queued and at most WriteLow writes wait, so
+// under per-cycle polling the flag flips on every tick and only ticks
+// that set it can issue a write. The wake is the first such cycle at
+// which a write is ready. Under DARP the refresh pick reads the flag,
+// so that mode keeps ticking every cycle.
+func (c *Controller) drainOscWake(now event.Cycle) event.Cycle {
+	if c.cfg.Mode == ModeDARP {
+		return now + 1
+	}
+	at := c.plan(&c.writeIdx, now+1).at
+	// The tick at t leaves the flag at draining xor (t-now odd). A write
+	// ready at a tick that clears the flag is still ready one cycle later:
+	// every Earliest* bound is a lower bound, fixed until the next issue.
+	if at < cycleNever && c.draining == ((at-now)%2 == 1) {
+		at++
+	}
+	return at
+}
+
+// drainAfter reports the drain flag per-cycle polling would hold after
+// the tick at cycle t, for t after drainAt.
+func (c *Controller) drainAfter(t event.Cycle) bool {
+	return c.drainNext[(t-c.drainAt)%2]
+}
+
+// syncDrain replays, at the start of the tick at now, the drain flag
+// updates of the polling ticks skipped since the sleep armed at drainAt.
+func (c *Controller) syncDrain(now event.Cycle) {
+	if c.drainMoves && now > c.drainAt+1 {
+		c.draining = c.drainAfter(now - 1)
+	}
+	c.drainMoves = false
+}
+
+// plan returns the queue's scheduling plan from cycle from: the stored
+// sweep when neither the queue, the device timing, nor the refresh
+// blocking state has changed since it ran and it still applies at from,
+// else a fresh sweep. A stored sweep from an earlier base whose pick is
+// at or after from is the sweep from from: each candidate's ready cycle
+// is a lower bound on the cycle, fixed until the next issue.
+func (c *Controller) plan(ix *bankIndex, from event.Cycle) *queuePlan {
+	p := &ix.plan
+	if p.ver != ix.ver || p.devVer != c.devVer || from < p.from || p.at < from {
+		*p = c.queueWake(ix, from)
+	} else if CrossCheckWake {
+		if fresh := c.queueWake(ix, from); fresh.at != p.at || fresh.req != p.req || fresh.hit != p.hit {
+			panic(fmt.Sprintf("stale plan from %d (swept from %d): planned %d hit=%v, fresh %d hit=%v, mode=%v write=%v",
+				from, p.from, p.at, p.hit, fresh.at, fresh.hit, c.cfg.Mode, ix.write))
+		}
+	}
+	return p
+}
+
+// queueWake sweeps the indexed queue once: it returns the earliest
+// cycle ≥ from at which any request could issue its next command
+// (column access, PRE, or ACT) and the request FR-FCFS serves then —
+// row hits before preparations, oldest first (queuePlan.offer). Only a
+// bank's oldest request of each class competes: all row hits of a bank
+// share the column timing, all misses the PRE timing, and a closed
+// bank's ACT timing is row-independent except for per-subarray refresh
+// locks. Demand queues skip banks the refresh machine is quiescing
+// (blockedBanks); the tick that advances the refresh phase re-plans
+// them.
+func (c *Controller) queueWake(ix *bankIndex, from event.Cycle) queuePlan {
+	p := queuePlan{at: cycleNever, from: from, ver: ix.ver, devVer: c.devVer}
 	saMode := c.cfg.Mode == ModeSubarrayRefresh || c.cfg.Mode == ModeSARP
-	for r := 0; r < c.geo.Ranks; r++ {
-		if ix.rankN[r] == 0 {
-			continue
+	for r, occ := range ix.occ {
+		if ix.demand {
+			occ &^= c.blockedBanks(r)
 		}
-		if demand && !c.bankMode() && c.refresh != nil && c.refresh[r].phase == refClosing {
-			continue
-		}
-		for b := 0; b < c.geo.Banks; b++ {
-			l := ix.list(r, b)
-			if len(l) == 0 {
-				continue
-			}
-			if demand && c.bankMode() && c.refresh != nil {
-				if rr := &c.refresh[r]; rr.phase == refClosing && rr.targetBank == c.dev.SlotOf(b) {
-					continue
-				}
-			}
+		for ; occ != 0; occ &= occ - 1 {
+			b := bits.TrailingZeros64(occ)
+			l := ix.lists[r*ix.banks+b]
 			if open := c.dev.OpenRow(r, b); open >= 0 {
-				// One representative per class suffices: all row hits
-				// share the column timing, all misses the PRE timing.
 				seenHit, seenMiss := false, false
 				for _, req := range l {
 					hit := int64(req.loc.Row) == open
-					if (hit && !seenHit) || (!hit && !seenMiss) {
-						t = minCycle(t, c.dev.NextReadyCycle(base, r, b, req.loc.Row, isWrite))
+					if hit && !seenHit || !hit && !seenMiss {
+						p.offer(c.dev.NextReadyCycle(from, r, b, req.loc.Row, ix.write), req, hit)
 					}
 					seenHit = seenHit || hit
 					seenMiss = seenMiss || !hit
@@ -310,22 +369,51 @@ func (c *Controller) queueWake(ix *bankIndex, now event.Cycle, isWrite, demand b
 						break
 					}
 				}
-			} else {
-				// Closed bank: ACT legality is row-independent except for
-				// per-subarray refresh locks.
-				for _, req := range l {
-					t = minCycle(t, c.dev.NextReadyCycle(base, r, b, req.loc.Row, isWrite))
-					if !saMode {
-						break
-					}
-				}
+				continue
 			}
-			if t == base {
-				return t
+			for _, req := range l {
+				p.offer(c.dev.NextReadyCycle(from, r, b, req.loc.Row, ix.write), req, false)
+				if !saMode {
+					break
+				}
 			}
 		}
 	}
-	return t
+	return p
+}
+
+// foldPlan updates the queue's stored plan for req, just appended to
+// it. req is the queue's youngest request, so where an older request
+// of its bank and class exists (which the sweep weighed, or which lost
+// to the pick), it has the same ready cycle and loses the tie: folding
+// req in directly keeps the plan equal to a fresh sweep.
+func (c *Controller) foldPlan(ix *bankIndex, req *request) {
+	p := &ix.plan
+	p.ver = ix.ver
+	r, b := req.loc.Rank, req.loc.Bank
+	if ix.demand && c.blockedBanks(r)>>uint(b)&1 != 0 {
+		return
+	}
+	hit := int64(req.loc.Row) == c.dev.OpenRow(r, b)
+	p.offer(c.dev.NextReadyCycle(p.from, r, b, req.loc.Row, ix.write), req, hit)
+}
+
+// blockedBanks is the mask of rank's banks that refresh quiescing bars
+// demand commands from: all of them while the rank closes for a
+// rank-granularity refresh, else the banks of the closing refresh slot.
+// Other refresh locks show in the device timing.
+func (c *Controller) blockedBanks(rank int) uint64 {
+	if c.refresh == nil || c.refresh[rank].phase != refClosing {
+		return 0
+	}
+	if !c.bankMode() {
+		return ^uint64(0)
+	}
+	var m uint64
+	for _, b := range c.dev.SlotBanks(c.refresh[rank].targetBank) {
+		m |= 1 << uint(b)
+	}
+	return m
 }
 
 // closePageWake reports the earliest legal PRE over open banks whose

@@ -333,15 +333,13 @@ func Run(cfg Config) (*Result, error) {
 // ctx is cancelled (polled every watchdogInterval events) and returns
 // ctx's error. Graceful campaign shutdown rides on this.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
-	res, _, _, err := run(ctx, cfg)
-	return res, err
+	return run(ctx, cfg)
 }
 
-// run is the Run body, also returning the device and controller for
-// RunDebug.
-func run(ctx context.Context, cfg Config) (*Result, *dram.Device, *memctrl.Controller, error) {
+// run is the Run body.
+func run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 
 	// Every run owns a private registry: components register their
@@ -353,16 +351,16 @@ func run(ctx context.Context, cfg Config) (*Result, *dram.Device, *memctrl.Contr
 	q := &event.Queue{}
 	std, err := dram.Lookup(cfg.Standard)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	geo := std.Geometry(cfg.Ranks)
 	params, err := std.Params(cfg.FGR)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	params, err = dram.ScaleDensity(params, cfg.DensityGb)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if cfg.Mode == memctrl.ModeNoRefresh {
 		params = dram.NoRefresh(params)
@@ -383,7 +381,7 @@ func run(ctx context.Context, cfg Config) (*Result, *dram.Device, *memctrl.Contr
 	mcfg.ROP.Predictor = cfg.ROPPredictor
 	ctrl, err := memctrl.New(mcfg, dev, q)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	ctrl.RegisterMetrics(reg.Sub("memctrl"))
 	if DebugHook != nil {
@@ -417,7 +415,7 @@ func run(ctx context.Context, cfg Config) (*Result, *dram.Device, *memctrl.Contr
 
 	llc, err := cache.New(cache.DefaultConfig(cfg.LLCBytes))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	ms := &memSystem{
 		llc:     llc,
@@ -440,7 +438,7 @@ func run(ctx context.Context, cfg Config) (*Result, *dram.Device, *memctrl.Contr
 		case trace.IsSource(bench):
 			recs, err := trace.LoadFile(trace.SourcePath(bench))
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 			rs := trace.NewReplayStream(recs)
 			// Replay metrics only exist for trace-driven cores, so
@@ -451,7 +449,7 @@ func run(ctx context.Context, cfg Config) (*Result, *dram.Device, *memctrl.Contr
 		default:
 			prof, err := workload.Get(bench)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 			stream = workload.NewGenerator(prof, cfg.Seed*1_000_003+int64(i)*97+int64(len(bench)))
 		}
@@ -483,22 +481,22 @@ func run(ctx context.Context, cfg Config) (*Result, *dram.Device, *memctrl.Contr
 	var dispatched int64
 	for remaining > 0 {
 		if !q.Step() {
-			return nil, nil, nil, fmt.Errorf("sim: event queue drained with %d cores unfinished", remaining)
+			return nil, fmt.Errorf("sim: event queue drained with %d cores unfinished", remaining)
 		}
 		dispatched++
 		if dispatched > maxEvents {
-			return nil, nil, nil, fmt.Errorf("sim: exceeded %d events with %d cores unfinished (livelock?)",
+			return nil, fmt.Errorf("sim: exceeded %d events with %d cores unfinished (livelock?)",
 				maxEvents, remaining)
 		}
 		if dispatched%watchdogInterval == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 			if checkErr != nil {
-				return nil, nil, nil, fmt.Errorf("sim: protocol violation: %w", checkErr)
+				return nil, fmt.Errorf("sim: protocol violation: %w", checkErr)
 			}
 			if err := wd.check(dispatched, remaining); err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 		}
 	}
@@ -559,12 +557,12 @@ func run(ctx context.Context, cfg Config) (*Result, *dram.Device, *memctrl.Contr
 		Ranks:           cfg.Ranks,
 	}, sramCounts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	// The refresh tail after the last core finished still issued
 	// commands; surface any sanitizer violation latched there.
 	if checkErr != nil {
-		return nil, nil, nil, fmt.Errorf("sim: protocol violation: %w", checkErr)
+		return nil, fmt.Errorf("sim: protocol violation: %w", checkErr)
 	}
 
 	// Run-level derived metrics join the registry last, then the whole
@@ -576,7 +574,7 @@ func run(ctx context.Context, cfg Config) (*Result, *dram.Device, *memctrl.Contr
 	simReg.Gauge("llc_miss_rate", func() float64 { return res.LLCMissRate })
 	simReg.Gauge("mean_read_latency", func() float64 { return res.MeanReadLatency })
 	res.Metrics = reg.Snapshot()
-	return res, dev, ctrl, nil
+	return res, nil
 }
 
 // WeightedSpeedup computes Σ IPC_shared/IPC_alone (paper Eq. 4) given
@@ -593,22 +591,4 @@ func WeightedSpeedup(shared *Result, alone []float64) float64 {
 		}
 	}
 	return ws
-}
-
-// DebugResult bundles a Result with the live device and controller so
-// exploratory tools can inspect raw counters. Tests and experiments use
-// Run; this is a diagnostics door.
-type DebugResult struct {
-	Result *Result             // the normal run outcome
-	Dev    *dram.Device        // the live DRAM device after the run
-	Ctrl   *memctrl.Controller // the live memory controller after the run
-}
-
-// RunDebug is Run, returning the internals alongside the result.
-func RunDebug(cfg Config) (*DebugResult, error) {
-	res, dev, ctrl, err := run(context.Background(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &DebugResult{Result: res, Dev: dev, Ctrl: ctrl}, nil
 }

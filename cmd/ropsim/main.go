@@ -40,6 +40,7 @@ import (
 
 	"ropsim"
 	"ropsim/internal/cache"
+	"ropsim/internal/memctrl"
 	"ropsim/internal/trace"
 )
 
@@ -107,31 +108,9 @@ func main() {
 	}
 
 	cfg := ropsim.Default(benches...)
-	switch *mode {
-	case "baseline":
-		cfg.Mode = ropsim.ModeBaseline
-	case "norefresh":
-		cfg.Mode = ropsim.ModeNoRefresh
-	case "rop":
-		cfg.Mode = ropsim.ModeROP
-	case "elastic":
-		cfg.Mode = ropsim.ModeElastic
-	case "pausing":
-		cfg.Mode = ropsim.ModePausing
-	case "bankrefresh":
-		cfg.Mode = ropsim.ModeBankRefresh
-	case "rop-bank":
-		cfg.Mode = ropsim.ModeROPBank
-	case "subarray":
-		cfg.Mode = ropsim.ModeSubarrayRefresh
-	case "ooo-bank":
-		cfg.Mode = ropsim.ModeOutOfOrderBank
-	case "darp":
-		cfg.Mode = ropsim.ModeDARP
-	case "sarp":
-		cfg.Mode = ropsim.ModeSARP
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+	var err error
+	if cfg.Mode, err = memctrl.ParseMode(*mode); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	cfg.Instructions = *insts

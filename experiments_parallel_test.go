@@ -70,9 +70,12 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestGoldenQuickTables locks the QuickOptions Fig1 and Table I outputs
-// against testdata snapshots, so refactors cannot silently shift the
-// reported IPC/energy/lambda/beta numbers. Regenerate deliberately with
+// TestGoldenQuickTables locks the QuickOptions Fig1, Table I, policy
+// and future-bank outputs against testdata snapshots, so refactors
+// cannot silently shift the reported IPC/energy/lambda/beta numbers or
+// the related-work and finer-granularity refresh policies (elastic,
+// pausing, bankrefresh, rop-bank, subarray). Regenerate deliberately
+// with
 //
 //	go test -run TestGoldenQuickTables -update .
 func TestGoldenQuickTables(t *testing.T) {
@@ -90,6 +93,14 @@ func TestGoldenQuickTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pol, err := PolicyComparison(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := FutureBankRefresh(o)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		file  string
@@ -97,6 +108,8 @@ func TestGoldenQuickTables(t *testing.T) {
 	}{
 		{"fig1_quick.golden", f1},
 		{"tab1_quick.golden", t1},
+		{"policy_quick.golden", pol},
+		{"future-bank_quick.golden", fb},
 	} {
 		path := filepath.Join("testdata", tc.file)
 		got := tc.table.String()

@@ -16,90 +16,6 @@ import (
 	"ropsim/internal/stats"
 )
 
-// Mode selects the refresh handling policy.
-type Mode int
-
-// Refresh handling modes.
-const (
-	// ModeBaseline is JEDEC auto-refresh: when a refresh is due the rank
-	// closes its banks and freezes for tRFC; conflicting requests wait.
-	ModeBaseline Mode = iota
-	// ModeNoRefresh is the idealized refresh-free memory used to bound
-	// refresh overheads (paper §III-A).
-	ModeNoRefresh
-	// ModeROP adds the paper's contribution: pre-refresh drain, the
-	// probabilistic prefetcher, and SRAM service during the freeze.
-	ModeROP
-	// ModeElastic is Elastic Refresh (Stuecheli et al., MICRO'10), one
-	// of the paper's related-work baselines: a due refresh is postponed
-	// while demand reads are pending, up to the JEDEC limit of eight
-	// outstanding refreshes, and issued during idle gaps.
-	ModeElastic
-	// ModePausing is Refresh Pausing (Nair et al., HPCA'13), another
-	// related-work baseline: a refresh proceeds in tRFC/8 segments and
-	// pauses between segments to service pending reads, resuming when
-	// the rank's queue drains (with a re-lock overhead per resume).
-	ModePausing
-	// ModeBankRefresh refreshes one bank at a time (tREFIpb = tREFI /
-	// banks apart, tRFCpb each): the paper's §VII future-work
-	// granularity. Sibling banks keep serving during a bank's refresh.
-	ModeBankRefresh
-	// ModeROPBank combines bank-level refresh with ROP: before a bank
-	// refreshes, its predicted lines are staged in the SRAM buffer, so
-	// even the refreshed bank keeps answering reads.
-	ModeROPBank
-	// ModeSubarrayRefresh refreshes one subarray at a time (the paper's
-	// §VII finest granularity, SALP-style): only rows of the refreshing
-	// subarray conflict; the rest of the bank keeps serving.
-	ModeSubarrayRefresh
-	// ModeOutOfOrderBank is out-of-order per-bank refresh scheduling
-	// (Chang et al. HPCA'14 §4.2 baseline scheduler): each refresh
-	// slot's due time is tracked separately, an idle slot's refresh is
-	// pulled forward and a busy slot's postponed, both within the JEDEC
-	// eight-command pull-in/postpone window.
-	ModeOutOfOrderBank
-	// ModeDARP is Dynamic Access-Refresh Parallelization (Chang et al.
-	// HPCA'14): out-of-order per-bank refresh plus write-drain
-	// piggybacking — during a write-drain batch, refreshes issue to
-	// banks with no pending writes, hiding them under the drain.
-	ModeDARP
-	// ModeSARP is Subarray Access-Refresh Parallelization (Chang et al.
-	// HPCA'14): a bank's refresh is confined to one subarray per
-	// command, so demand to the bank's other subarrays proceeds during
-	// the whole tRFCpb window (~0.71% DRAM die cost, surfaced as a
-	// metric).
-	ModeSARP
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case ModeBaseline:
-		return "baseline"
-	case ModeNoRefresh:
-		return "norefresh"
-	case ModeROP:
-		return "rop"
-	case ModeElastic:
-		return "elastic"
-	case ModePausing:
-		return "pausing"
-	case ModeBankRefresh:
-		return "bankrefresh"
-	case ModeROPBank:
-		return "rop-bank"
-	case ModeSubarrayRefresh:
-		return "subarray"
-	case ModeOutOfOrderBank:
-		return "ooo-bank"
-	case ModeDARP:
-		return "darp"
-	case ModeSARP:
-		return "sarp"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
-
 // Config parameterizes the controller. Table III: 64-entry read and
 // write queues, FR-FCFS, writes scheduled in batches.
 type Config struct {
@@ -165,7 +81,11 @@ func (c Config) Validate() error {
 	if c.SRAMLatency < 0 {
 		return fmt.Errorf("memctrl: negative SRAM latency")
 	}
-	if c.Mode == ModeROP || c.Mode == ModeROPBank {
+	pol, ok := c.Mode.policy()
+	if !ok {
+		return fmt.Errorf("memctrl: unknown refresh mode %d", int(c.Mode))
+	}
+	if pol.rop {
 		return c.ROP.Validate()
 	}
 	return nil
@@ -271,6 +191,13 @@ type Controller struct {
 	// bank while one of its subarrays was refreshing — the accesses SARP
 	// parallelizes with refresh.
 	SARPParallelServes stats.Counter
+
+	pol policy // cfg.Mode resolved through presets
+	// cadence is the nominal interval between two refresh commands of a
+	// rank under the policy's granularity; allBanks lists the bank
+	// indices 0..Banks-1 (a rank-granularity refresh target).
+	cadence  event.Cycle
+	allBanks []int
 }
 
 // sarpDieAreaPct is the DRAM die area overhead Chang et al. HPCA'14
@@ -305,7 +232,7 @@ func (c *Controller) RegisterMetrics(r *stats.Registry) {
 	r.Register("refresh_pull_ins", &c.RefreshPullIns)
 	r.Register("drain_piggybacks", &c.DrainPiggybacks)
 	r.Register("sarp_parallel_cmds", &c.SARPParallelServes)
-	if c.cfg.Mode == ModeSARP {
+	if c.pol.gran == granSlotSubarray {
 		r.Gauge("sarp_die_area_overhead_pct", func() float64 { return sarpDieAreaPct })
 	}
 	if c.rop != nil {
@@ -331,25 +258,27 @@ func New(cfg Config, dev *dram.Device, q *event.Queue) (*Controller, error) {
 	if geo.Banks > maxIndexBanks {
 		return nil, fmt.Errorf("memctrl: %d banks per rank, at most %d supported", geo.Banks, maxIndexBanks)
 	}
-	p0 := dev.Params()
-	if p0.REFI > 0 {
-		switch cfg.Mode {
-		case ModeBankRefresh, ModeROPBank, ModeOutOfOrderBank, ModeDARP:
-			if p0.RFCpb <= 0 {
+	pol, _ := cfg.Mode.policy()
+	p := dev.Params()
+	if p.REFI > 0 {
+		switch pol.gran {
+		case granSlot:
+			if p.RFCpb <= 0 {
 				return nil, fmt.Errorf("memctrl: bank-refresh mode requires RFCpb timing")
 			}
-		case ModeSubarrayRefresh:
-			if p0.RFCsa <= 0 || p0.Subarrays <= 0 {
+		case granSubarray:
+			if p.RFCsa <= 0 || p.Subarrays <= 0 {
 				return nil, fmt.Errorf("memctrl: subarray-refresh mode requires RFCsa/Subarrays timing")
 			}
-		case ModeSARP:
-			if p0.RFCpb <= 0 || p0.Subarrays <= 0 {
+		case granSlotSubarray:
+			if p.RFCpb <= 0 || p.Subarrays <= 0 {
 				return nil, fmt.Errorf("memctrl: SARP requires RFCpb/Subarrays timing")
 			}
 		}
 	}
 	c := &Controller{
 		cfg:             cfg,
+		pol:             pol,
 		dev:             dev,
 		q:               q,
 		geo:             geo,
@@ -361,59 +290,58 @@ func New(cfg Config, dev *dram.Device, q *event.Queue) (*Controller, error) {
 	c.readIdx.init(geo, false, true)
 	c.writeIdx.init(geo, true, true)
 	c.fillIdx.init(geo, false, false)
-	p := dev.Params()
-	if cfg.Mode != ModeNoRefresh && p.REFI > 0 {
+	c.allBanks = make([]int, geo.Banks)
+	for b := range c.allBanks {
+		c.allBanks[b] = b
+	}
+	if pol.gran != granNone && p.REFI > 0 {
 		c.refresh = make([]rankRefresh, geo.Ranks)
-		cadence := p.REFI
-		switch cfg.Mode {
-		case ModeBankRefresh, ModeROPBank, ModeOutOfOrderBank, ModeDARP, ModeSARP:
-			// One bank-granularity command per slot per tREFI: slots =
-			// banks, except under same-bank refresh (DDR5) where one
-			// command covers a whole bank set.
-			cadence = p.REFI / event.Cycle(dev.RefreshSlots())
-		case ModeSubarrayRefresh:
-			cadence = p.REFI / event.Cycle(geo.Banks*p.Subarrays)
-			if cadence < 1 {
-				cadence = 1
-			}
+		switch pol.gran {
+		case granRank:
+			c.cadence = p.REFI
+		case granSlot, granSlotSubarray:
+			// One command per slot per tREFI: slots = banks, except under
+			// same-bank refresh (DDR5) where one command covers a whole
+			// bank set.
+			c.cadence = p.REFI / event.Cycle(dev.RefreshSlots())
+		case granSubarray:
+			c.cadence = max(p.REFI/event.Cycle(geo.Banks*p.Subarrays), 1)
 		}
 		for r := range c.refresh {
 			// Stagger rank refreshes across the cadence interval so that
 			// at most one rank is frozen at a time (and the shared SRAM
 			// buffer is never contended).
-			c.refresh[r].due = cadence * event.Cycle(r+1) / event.Cycle(geo.Ranks)
-			switch {
-			case c.oooMode():
+			rr := &c.refresh[r]
+			rr.due = c.cadence * event.Cycle(r+1) / event.Cycle(geo.Ranks)
+			if pol.seq == seqOutOfOrder {
 				// Out-of-order scheduling tracks a due time per slot: the
 				// in-order schedule would visit slot s one cadence after
 				// slot s-1, each slot recurring every tREFI.
-				n := dev.RefreshSlots()
-				sd := make([]event.Cycle, n)
-				for s := 0; s < n; s++ {
-					sd[s] = c.refresh[r].due + cadence*event.Cycle(s)
+				rr.slotDue = make([]event.Cycle, dev.RefreshSlots())
+				for s := range rr.slotDue {
+					rr.slotDue[s] = rr.due + c.cadence*event.Cycle(s)
 				}
-				c.refresh[r].slotDue = sd
-			case cfg.Mode == ModeSARP:
+			}
+			if pol.gran == granSlotSubarray {
 				// A rotating subarray counter per slot: a shared counter
 				// would alias with the slot rotation (same slot count and
 				// subarray count ⇒ every bank refreshing one subarray
 				// forever), so each slot rotates independently.
-				c.refresh[r].slotSA = make([]int, dev.RefreshSlots())
+				rr.slotSA = make([]int, dev.RefreshSlots())
 			}
 		}
-	}
-	if p.REFI > 0 {
-		var err error
-		switch cfg.Mode {
-		case ModeROP:
-			c.rop, err = core.NewEngine(cfg.ROP, geo, p.REFI, p.RFC)
-		case ModeROPBank:
-			// Bank-level refresh: the observational window and freeze
-			// length shrink to the per-slot schedule.
-			c.rop, err = core.NewEngine(cfg.ROP, geo, p.REFI/event.Cycle(dev.RefreshSlots()), p.RFCpb)
-		}
-		if err != nil {
-			return nil, err
+		if pol.rop {
+			// The engine's observational window and freeze length follow
+			// the granularity: tREFI and tRFC for a rank, the per-slot
+			// schedule and tRFCpb for a bank set.
+			freeze := p.RFC
+			if pol.gran != granRank {
+				freeze = p.RFCpb
+			}
+			var err error
+			if c.rop, err = core.NewEngine(cfg.ROP, geo, c.cadence, freeze); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if cfg.Capture {
@@ -437,7 +365,7 @@ func MustNew(cfg Config, dev *dram.Device, q *event.Queue) *Controller {
 	return c
 }
 
-// ROP exposes the prefetch engine (nil unless ModeROP).
+// ROP exposes the prefetch engine (nil unless the mode runs ROP).
 func (c *Controller) ROP() *core.Engine { return c.rop }
 
 // Device exposes the DRAM device (for energy accounting).
@@ -458,7 +386,7 @@ func (c *Controller) SetCommandObserver(fn func(dram.Command)) { c.cmdObs = fn }
 // moves with every change of device timing state.
 func (c *Controller) emit(cmd dram.Command) {
 	c.devVer++
-	if c.cfg.Mode == ModeSARP {
+	if c.pol.gran == granSlotSubarray {
 		switch cmd.Kind {
 		case dram.CmdACT, dram.CmdRD, dram.CmdWR:
 			if c.dev.AnySubarrayRefreshing(cmd.Rank, cmd.Bank, cmd.At) {
@@ -554,7 +482,7 @@ func (c *Controller) EnqueueRead(loc addr.Loc, src int, done func(event.Cycle)) 
 		// already holds the line ahead of the freeze — is served from
 		// the SRAM buffer (the paper's central mechanism).
 		frozen := c.dev.Refreshing(loc.Rank, now)
-		if c.bankMode() {
+		if c.pol.gran != granRank {
 			frozen = c.dev.BankRefreshing(loc.Rank, loc.Bank, now)
 		}
 		if c.rop.ProbeRead(loc, now, frozen) {
@@ -767,7 +695,7 @@ var CrossCheckWake bool
 // out-of-order scheduling where it is the earliest issuable pick or
 // slot-schedule boundary (oooWake).
 func (c *Controller) nextRefreshDue() (event.Cycle, bool) {
-	ooo := c.oooMode()
+	ooo := c.pol.seq == seqOutOfOrder
 	now := c.q.Now()
 	var best event.Cycle
 	found := false
@@ -782,25 +710,6 @@ func (c *Controller) nextRefreshDue() (event.Cycle, bool) {
 		}
 	}
 	return best, found
-}
-
-// bankMode reports whether refresh runs at bank granularity: a due
-// refresh targets one slot and demand blocking is per bank, not per
-// rank. SARP qualifies — its refresh command covers a slot — but its
-// banks never set refBusyUntil, so blockedBanks only covers the brief
-// refClosing quiesce of the target slot.
-func (c *Controller) bankMode() bool {
-	switch c.cfg.Mode {
-	case ModeBankRefresh, ModeROPBank, ModeOutOfOrderBank, ModeDARP, ModeSARP:
-		return true
-	}
-	return false
-}
-
-// oooMode reports whether refresh slots are scheduled out of order
-// (per-slot due times with the JEDEC pull-in/postpone window).
-func (c *Controller) oooMode() bool {
-	return c.cfg.Mode == ModeOutOfOrderBank || c.cfg.Mode == ModeDARP
 }
 
 // completeRead finishes a demand read or prefetch fill at dataAt.

@@ -1,7 +1,14 @@
 package memctrl
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ropsim/internal/addr"
@@ -261,42 +268,137 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 }
 
-func TestCommandStreamLegalInAllModes(t *testing.T) {
-	for _, mode := range []Mode{ModeBaseline, ModeNoRefresh, ModeROP} {
-		c, q := newController(t, mode, func(cfg *Config) { cfg.Capture = true })
-		c.CaptureLog().StoreCommands = true
-		p := c.Device().Params()
-		horizon := 25 * dram.DDR4_1600(dram.Refresh1x).REFI
-		rng := rand.New(rand.NewSource(7))
-		var drive func(now event.Cycle)
-		drive = func(now event.Cycle) {
-			loc := addr.Loc{
-				Rank: rng.Intn(2), Bank: rng.Intn(8),
-				Row: rng.Intn(512), Col: rng.Intn(64),
-			}
-			if rng.Intn(4) == 0 {
-				c.EnqueueWrite(loc, 0)
-			} else {
-				c.EnqueueRead(loc, 0, func(event.Cycle) {})
-			}
-			next := now + event.Cycle(rng.Intn(60)+1)
-			if next <= horizon {
-				q.Schedule(next, drive)
-			}
-		}
-		q.Schedule(0, drive)
-		q.RunUntil(horizon)
+var updateStreams = flag.Bool("update", false, "rewrite testdata/preset_streams.golden")
 
-		checker := dram.NewChecker(p, testGeo())
-		for i, cmd := range c.CaptureLog().Commands {
-			if err := checker.Check(cmd); err != nil {
-				t.Fatalf("mode %v: command %d illegal: %v", mode, i, err)
+// TestCommandStreamLegalInAllModes runs random mixed traffic through
+// every preset on every registered standard, under both page policies,
+// and checks each issued command with the independent JEDEC checker.
+// Each run's command stream (as a SHA-256) and refresh accounting are
+// pinned against testdata/preset_streams.golden, so a refactor of the
+// refresh machinery cannot silently move any preset — including those
+// no experiment golden exercises. -short runs the default standard only.
+// Regenerate deliberately with
+//
+//	go test -run TestCommandStreamLegalInAllModes -update ./internal/memctrl
+func TestCommandStreamLegalInAllModes(t *testing.T) {
+	path := filepath.Join("testdata", "preset_streams.golden")
+	if *updateStreams && testing.Short() {
+		t.Fatal("-update needs the full run, not -short")
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil && !*updateStreams {
+		t.Fatalf("missing golden %s (generate with -update): %v", path, err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.SplitAfter(string(golden), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		want[name] = line
+	}
+	var got strings.Builder
+	for m := range presets {
+		for _, std := range dram.Standards() {
+			if testing.Short() && std.Name() != dram.DefaultStandard {
+				continue
 			}
-		}
-		if mode != ModeNoRefresh && c.RefreshesIssued.Value() == 0 {
-			t.Errorf("mode %v: no refreshes in capture run", mode)
+			for _, closed := range []bool{false, true} {
+				name, line := presetStreamLine(t, Mode(m), std, closed)
+				if line != want[name] && !*updateStreams {
+					t.Errorf("stream drifted from golden:\n got: %s\nwant: %s", line, want[name])
+				}
+				got.WriteString(line)
+			}
 		}
 	}
+	if *updateStreams {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if !testing.Short() && got.String() != string(golden) {
+		t.Errorf("preset streams differ from %s in their set or order", path)
+	}
+}
+
+// presetStreamLine runs one preset/standard/page-policy combination for
+// 25 tREFI of seeded random traffic, fails the test on the first
+// illegal command, and renders the run's name and golden line.
+func presetStreamLine(t *testing.T, mode Mode, std dram.Standard, closed bool) (name, line string) {
+	t.Helper()
+	p, err := std.Params(dram.Refresh1x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := 25 * p.REFI
+	if mode == ModeNoRefresh {
+		p = dram.NoRefresh(p)
+	}
+	geo := std.Geometry(2)
+	cfg := DefaultConfig(mode)
+	cfg.ROP.TrainRefreshes = 3
+	cfg.ClosedPage = closed
+	q := &event.Queue{}
+	c := MustNew(cfg, dram.NewDevice(p, geo), q)
+	checker := dram.NewChecker(p, geo)
+	if mode == ModeSARP {
+		checker.REFsaDur = p.RFCpb
+	}
+	page := "open"
+	if closed {
+		page = "closed"
+	}
+	name = fmt.Sprintf("%s/%s/%s", mode, std.Name(), page)
+	h := sha256.New()
+	var illegal error
+	c.SetCommandObserver(func(cmd dram.Command) {
+		if err := checker.Check(cmd); err != nil && illegal == nil {
+			illegal = fmt.Errorf("%+v: %w", cmd, err)
+		}
+		fmt.Fprintf(h, "%d %d %d %d %d %d %d\n", cmd.Kind, cmd.At, cmd.Rank, cmd.Bank, cmd.Row, cmd.Col, cmd.Sub)
+	})
+
+	// Half the requests are reads continuing one sequential stream per
+	// bank, which the ROP engine learns to prefetch; the rest go to one
+	// of 16 rows spread across the bank, so every subarray sees traffic
+	// and open rows are hit often.
+	rng := rand.New(rand.NewSource(7))
+	stream := make([]int64, geo.Ranks*geo.Banks)
+	for i := range stream {
+		stream[i] = int64(i%16) * int64(geo.Rows/16) * int64(geo.ColumnLines)
+	}
+	var drive func(now event.Cycle)
+	drive = func(now event.Cycle) {
+		r, b := rng.Intn(geo.Ranks), rng.Intn(geo.Banks)
+		switch rng.Intn(8) {
+		case 0, 1, 2, 3:
+			i := r*geo.Banks + b
+			c.EnqueueRead(addr.LocFromBankLine(geo, 0, r, b, stream[i]), 0, func(event.Cycle) {})
+			stream[i]++
+		case 4, 5:
+			c.EnqueueWrite(addr.Loc{Rank: r, Bank: b, Row: rng.Intn(16) * (geo.Rows / 16), Col: rng.Intn(geo.ColumnLines)}, 0)
+		default:
+			c.EnqueueRead(addr.Loc{Rank: r, Bank: b, Row: rng.Intn(16) * (geo.Rows / 16), Col: rng.Intn(geo.ColumnLines)}, 0, func(event.Cycle) {})
+		}
+		if next := now + event.Cycle(rng.Intn(60)+1); next <= horizon {
+			q.Schedule(next, drive)
+		}
+	}
+	q.Schedule(0, drive)
+	q.RunUntil(horizon)
+
+	if illegal != nil {
+		t.Fatalf("%s: illegal command %v", name, illegal)
+	}
+	refs := c.RefreshesIssued.Value()
+	if mode == ModeNoRefresh && refs != 0 || mode != ModeNoRefresh && refs == 0 {
+		t.Errorf("%s: %d refreshes in 25 tREFI", name, refs)
+	}
+	return name, fmt.Sprintf("%s %x refs=%d postponed=%d/%s pullins=%d piggybacks=%d sarp_cmds=%d fills=%d sram=%d\n",
+		name, h.Sum(nil), refs,
+		c.RefreshPostponedCycles.N(), strconv.FormatFloat(c.RefreshPostponedCycles.Value(), 'g', -1, 64),
+		c.RefreshPullIns.Value(), c.DrainPiggybacks.Value(), c.SARPParallelServes.Value(),
+		c.PrefetchFillsIssued.Value(), c.SRAMServed.Value())
 }
 
 func TestRefreshNeverPostponedBeyondBound(t *testing.T) {
@@ -351,6 +453,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.MaxRefreshDelay = 9 },
 		func(c *Config) { c.SRAMLatency = -1 },
 		func(c *Config) { c.Mode = ModeROP; c.ROP = core.Config{} },
+		func(c *Config) { c.Mode = ModeROPBank; c.ROP = core.Config{} },
+		func(c *Config) { c.Mode = Mode(len(presets)) },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig(ModeBaseline)
@@ -361,10 +465,31 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestModeString round-trips every preset through String and ParseMode,
+// and checks that an unknown name is rejected with the valid ones.
 func TestModeString(t *testing.T) {
 	if ModeBaseline.String() != "baseline" || ModeNoRefresh.String() != "norefresh" ||
-		ModeROP.String() != "rop" {
+		ModeROP.String() != "rop" || ModeSARP.String() != "sarp" {
 		t.Error("Mode.String wrong")
+	}
+	for m := range presets {
+		mode := Mode(m)
+		got, err := ParseMode(mode.String())
+		if err != nil || got != mode {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", mode.String(), got, err, mode)
+		}
+	}
+	if got := Mode(len(presets)).String(); got != fmt.Sprintf("Mode(%d)", len(presets)) {
+		t.Errorf("out-of-table mode renders as %q", got)
+	}
+	_, err := ParseMode("refreshless")
+	if err == nil {
+		t.Fatal("ParseMode accepted an unknown name")
+	}
+	for _, p := range presets {
+		if !strings.Contains(err.Error(), p.name) {
+			t.Errorf("unknown-mode error %q does not list %q", err, p.name)
+		}
 	}
 }
 

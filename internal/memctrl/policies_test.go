@@ -32,20 +32,25 @@ func armChecker(c *Controller, checker *dram.Checker) *error {
 // or bank more than maxPullInAhead of pull-in credit, and its command
 // stream must stay checker-clean.
 func TestOoOPullInPostponeWindow(t *testing.T) {
-	maxOwed, maxAhead := 0, 0
-	SetDebugOoO(func(now int64, owed, ahead int) {
-		if owed > maxOwed {
-			maxOwed = owed
-		}
-		if ahead > maxAhead {
-			maxAhead = ahead
-		}
-	})
-	defer SetDebugOoO(nil)
-
 	c, q := newController(t, ModeOutOfOrderBank, nil)
 	p := c.Device().Params()
 	checkErr := armChecker(c, dram.NewChecker(p, testGeo()))
+
+	// Tally the rank's owed and pulled-ahead refreshes right after each
+	// issue: the REFpb is emitted mid-issue, so the tally runs as an
+	// event later in the same cycle, once the issue's accounting is done.
+	maxOwed, maxAhead := 0, 0
+	observe := c.cmdObs
+	c.SetCommandObserver(func(cmd dram.Command) {
+		observe(cmd)
+		if cmd.Kind != dram.CmdREFpb {
+			return
+		}
+		q.Schedule(cmd.At, func(now event.Cycle) {
+			owed, ahead := c.oooBacklog(cmd.Rank, now)
+			maxOwed, maxAhead = max(maxOwed, owed), max(maxAhead, ahead)
+		})
+	})
 
 	// Saturating reads across every bank of rank 0: no slot is ever
 	// idle, so refreshes ride the postpone window to its edge. Rank 1

@@ -6,13 +6,17 @@ import (
 	"ropsim/internal/event"
 )
 
-// debugElastic is a test hook.
-var debugElastic func(now, due event.Cycle, backlog, readq int)
-
-// debugOoO is a test hook observing out-of-order refresh accounting at
-// each issue: the rank's owed (postponed) and pulled-ahead refresh
-// counts right after the issue.
-var debugOoO func(now event.Cycle, owed, ahead int)
+// The refresh machinery follows the LiteDRAM-family refreshers'
+// timer/sequencer/executor split (DESIGN.md §12). The timer is the
+// granularity's cadence (Controller.cadence); each other stage reads one
+// policy axis:
+//   - the sequencer (sequence, account; policy.seq) decides when an idle
+//     rank's next refresh starts and, out of order, which slot it
+//     targets;
+//   - the ROP stage (beginRefresh, startFills; policy.rop) drains and
+//     fills ahead of the freeze, and serves reads during it;
+//   - the executor (closingNext, closeStep, issueRefresh; policy.gran)
+//     precharges the target and issues the granularity's REF form.
 
 // refPhase is the per-rank refresh state.
 type refPhase int
@@ -27,7 +31,7 @@ const (
 	// buffer. Candidates are generated at the drain/fill boundary so
 	// they reflect the stream position right before the freeze.
 	refFilling
-	// refPaused (ModePausing): a partially-completed refresh waits for
+	// refPaused (pausing sequencing): a partially-completed refresh waits for
 	// the rank's pending reads to drain before its next segment.
 	refPaused
 	// refClosing: open banks are being precharged so REF can issue.
@@ -41,16 +45,16 @@ const (
 const drainFracREFI = 0.03
 
 // maxElasticBacklog is the JEDEC limit on outstanding postponed
-// refreshes (ModeElastic and the out-of-order bank modes).
+// refreshes (elastic and out-of-order sequencing).
 const maxElasticBacklog = 8
 
 // maxPullInAhead is the JEDEC limit on refreshes issued ahead of
-// schedule (the pull-in half of the 8×tREFI elasticity window the
-// out-of-order bank modes exploit).
+// schedule (the pull-in half of the 8×tREFI elasticity window
+// out-of-order sequencing exploits).
 const maxPullInAhead = 8
 
 // pauseSegments is how many pausable segments one refresh divides into
-// (ModePausing), and pauseResumeOverhead the extra cycles each resumed
+// (pausing sequencing), and pauseResumeOverhead the extra cycles each resumed
 // segment costs for re-locking.
 const (
 	pauseSegments       = 8
@@ -59,24 +63,24 @@ const (
 
 // rankRefresh tracks one rank's refresh progress.
 type rankRefresh struct {
-	// backlog counts refreshes owed but postponed (ModeElastic).
+	// backlog counts refreshes owed but postponed (elastic sequencing).
 	backlog int
 	// segDone counts completed segments of the in-flight pausable
-	// refresh (ModePausing).
+	// refresh (pausing sequencing).
 	segDone int
-	// targetBank is the refresh target this round: under bank modes it
-	// is the refresh slot (dram.Device.SlotBanks maps it to the banks
-	// one command locks; slots take turns round-robin), under subarray
-	// mode the bank itself.
+	// targetBank is the refresh target this round: under the slot
+	// granularities it is the refresh slot (dram.Device.SlotBanks maps
+	// it to the banks one command locks), under subarray granularity the
+	// bank itself.
 	targetBank int
-	// targetSA is the subarray being refreshed (ModeSubarrayRefresh).
+	// targetSA is the subarray being refreshed (subarray granularity).
 	targetSA int
-	// slotDue (out-of-order bank modes) is each refresh slot's own
+	// slotDue (out-of-order sequencing) is each refresh slot's own
 	// schedule: the tREFI boundary its next refresh is nominally due at.
 	// Out-of-order scheduling picks among slots instead of rotating, so
 	// the schedule must be tracked per slot rather than via due.
 	slotDue []event.Cycle
-	// slotSA (ModeSARP) is each refresh slot's rotating subarray
+	// slotSA (SARP granularity) is each refresh slot's rotating subarray
 	// counter. Kept per slot so slot rotation and subarray rotation
 	// cannot alias when RefreshSlots divides Subarrays evenly.
 	slotSA []int
@@ -103,60 +107,9 @@ func (c *Controller) refreshStep(now event.Cycle) bool {
 			progress = false
 			switch rr.phase {
 			case refIdle:
-				if c.cfg.Mode == ModeSubarrayRefresh {
-					if now >= rr.due {
-						rr.phase = refClosing
-						progress = true
-					}
-					break
-				}
-				if c.oooMode() {
-					if slot, pullIn := c.pickOoOSlot(r, now); slot >= 0 {
-						rr.targetBank = slot
-						rr.pullIn = pullIn
-						rr.phase = refClosing
-						progress = true
-					}
-					break
-				}
-				if c.bankMode() {
-					if now >= rr.due {
-						c.beginBankRefresh(r, now)
-						progress = true
-					}
-					break
-				}
-				if c.cfg.Mode == ModeElastic {
-					if debugElastic != nil {
-						debugElastic(now, rr.due, rr.backlog, len(c.readQ))
-					}
-					if now >= rr.due {
-						rr.backlog++
-						rr.due += c.dev.Params().REFI
-						progress = true
-					}
-					// Issue owed refreshes in idle gaps, or forcibly at
-					// the JEDEC backlog limit.
-					if rr.backlog > 0 &&
-						(rr.backlog >= maxElasticBacklog || !c.hasDemandReads(r)) {
-						rr.phase = refClosing
-						progress = true
-					}
-					break
-				}
-				if now >= rr.due {
-					c.beginRefresh(r, now)
-					progress = true
-				}
+				progress = c.sequence(r, now)
 			case refDraining:
-				if c.bankMode() {
-					if now >= rr.drainDeadline || !c.hasBankReads(r, rr.targetBank) {
-						c.startBankFills(r, now)
-						progress = true
-					}
-					break
-				}
-				if now >= rr.drainDeadline || !c.hasDemandReads(r) {
+				if now >= rr.drainDeadline || !c.targetHasReads(r) {
 					c.startFills(r, now)
 					progress = true
 				}
@@ -168,24 +121,6 @@ func (c *Controller) refreshStep(now event.Cycle) bool {
 					progress = true
 				}
 			case refClosing:
-				if c.cfg.Mode == ModeSubarrayRefresh {
-					if c.closeSubarrayStep(r, now) {
-						return true
-					}
-					break
-				}
-				if c.cfg.Mode == ModeSARP {
-					if c.closeSARPStep(r, now) {
-						return true
-					}
-					break
-				}
-				if c.bankMode() {
-					if c.closeBankStep(r, now) {
-						return true
-					}
-					break
-				}
 				if c.closeStep(r, now) {
 					return true
 				}
@@ -193,40 +128,27 @@ func (c *Controller) refreshStep(now event.Cycle) bool {
 				// Resume once the rank's reads drained, or when the
 				// remaining segments would no longer fit before the
 				// next due time.
-				if !c.hasDemandReads(r) || c.pausingForced(r, now) {
+				if !c.hasDemandReads(r) || now >= c.pauseForcedAt(r) {
 					rr.phase = refClosing
 					progress = true
 				}
 			case refRefreshing:
-				if now >= rr.refEnd {
-					if c.cfg.Mode == ModeSubarrayRefresh {
-						rr.phase = refIdle
-						progress = true
-						break
+				if now < rr.refEnd {
+					break
+				}
+				progress = true
+				if c.pol.seq == seqPausing && rr.segDone < pauseSegments {
+					if c.hasDemandReads(r) && now < c.pauseForcedAt(r) {
+						rr.phase = refPaused
+					} else {
+						rr.phase = refClosing
 					}
-					if c.bankMode() {
-						rr.phase = refIdle
-						if c.rop != nil {
-							c.rop.OnRefreshEnd(r, now)
-						}
-						progress = true
-						break
-					}
-					if c.cfg.Mode == ModePausing && rr.segDone < pauseSegments {
-						if c.hasDemandReads(r) && !c.pausingForced(r, now) {
-							rr.phase = refPaused
-						} else {
-							rr.phase = refClosing
-						}
-						progress = true
-						break
-					}
-					rr.segDone = 0
-					rr.phase = refIdle
-					if c.rop != nil {
-						c.rop.OnRefreshEnd(r, now)
-					}
-					progress = true
+					break
+				}
+				rr.segDone = 0
+				rr.phase = refIdle
+				if c.rop != nil {
+					c.rop.OnRefreshEnd(r, now)
 				}
 			}
 			if progress {
@@ -237,18 +159,58 @@ func (c *Controller) refreshStep(now event.Cycle) bool {
 	return false
 }
 
-// beginRefresh runs when a rank's refresh becomes due: in ROP mode it
-// consults the engine and starts the drain phase; the baseline proceeds
-// straight to closing banks.
+// sequence is the sequencer for idle rank r: it starts the next
+// refresh when the policy's sequencing says so, and reports whether the
+// rank's refresh state moved.
+func (c *Controller) sequence(r int, now event.Cycle) bool {
+	rr := &c.refresh[r]
+	switch c.pol.seq {
+	case seqOutOfOrder:
+		slot, pullIn := c.pickOoOSlot(r, now)
+		if slot < 0 {
+			return false
+		}
+		rr.targetBank, rr.pullIn = slot, pullIn
+	case seqElastic:
+		owed := now >= rr.due
+		if owed {
+			rr.backlog++
+			rr.due += c.cadence
+		}
+		// Issue owed refreshes in idle gaps, or forcibly at the JEDEC
+		// backlog limit.
+		if rr.backlog == 0 || rr.backlog < maxElasticBacklog && c.hasDemandReads(r) {
+			return owed
+		}
+	default:
+		if now < rr.due {
+			return false
+		}
+	}
+	c.beginRefresh(r, now)
+	return true
+}
+
+// beginRefresh starts the refresh the sequencer picked. Without ROP the
+// target goes straight to closing. With it, the engine's gate decides
+// whether the target's predicted lines are staged first, and the drain
+// and fill deadlines are sized to the granularity's freeze cadence.
 func (c *Controller) beginRefresh(rank int, now event.Cycle) {
 	rr := &c.refresh[rank]
 	if c.rop == nil {
 		rr.phase = refClosing
 		return
 	}
-	refi := float64(c.dev.Params().REFI)
 	dec := c.rop.OnRefreshStart(rank, now)
 	rr.wantPrefetch = dec.Prefetch
+	rr.phase = refDraining
+	if c.pol.gran != granRank {
+		cadence := float64(c.dev.Params().REFI) / float64(c.dev.RefreshSlots())
+		rr.drainDeadline = now + event.FromFloat(0.1*cadence)
+		rr.deadline = now + event.FromFloat(0.5*cadence)
+		return
+	}
+	refi := float64(c.dev.Params().REFI)
 	// Load-aware throttle: when the shared channel is bandwidth-bound
 	// (deep read queue), prefetch fills cannot add throughput — every
 	// mispredicted fill is pure bus waste — so the launch is skipped.
@@ -273,18 +235,26 @@ func (c *Controller) beginRefresh(rank int, now event.Cycle) {
 		fillBudget = now + bound - rr.drainDeadline
 	}
 	rr.deadline = rr.drainDeadline + fillBudget
-	rr.phase = refDraining
 }
 
-// startFills ends the drain phase: candidates are generated from the
-// table's current state and queued as prefetch fills.
+// startFills ends the drain phase: candidates for the banks the refresh
+// will freeze are generated from the table's current state and queued
+// as prefetch fills.
 func (c *Controller) startFills(rank int, now event.Cycle) {
 	rr := &c.refresh[rank]
 	rr.phase = refClosing
 	if !rr.wantPrefetch {
 		return
 	}
-	c.launchFills(rank, c.rop.GenerateCandidates(rank), now)
+	if c.pol.gran == granRank {
+		c.launchFills(rank, c.rop.GenerateCandidates(rank), now)
+		return
+	}
+	var locs []addr.Loc
+	for _, b := range c.dev.SlotBanks(rr.targetBank) {
+		locs = append(locs, c.rop.GenerateBankCandidates(rank, b)...)
+	}
+	c.launchFills(rank, locs, now)
 }
 
 // launchFills claims the SRAM buffer for rank and queues locs as the
@@ -336,72 +306,197 @@ func (c *Controller) dropFills(rank int) {
 	})
 }
 
-// closeStep precharges one open bank, or issues REF once the rank is
-// quiesced. It reports whether a command was issued.
-func (c *Controller) closeStep(rank int, now event.Cycle) bool {
-	rr := &c.refresh[rank]
-	geo := c.geo
-	for b := 0; b < geo.Banks; b++ {
-		if c.dev.OpenRow(rank, b) < 0 {
-			continue
-		}
-		if c.dev.EarliestPRE(now, rank, b) == now {
-			c.dev.IssuePRE(now, rank, b)
-			c.emit(dram.Command{Kind: dram.CmdPRE, At: now, Rank: rank, Bank: b})
-			return true
-		}
-		return false // a bank is open but PRE is not yet legal: wait
+// targetHasReads reports whether any queued demand read targets a bank
+// rank's pending refresh will freeze: the ROP drain's exit condition.
+func (c *Controller) targetHasReads(rank int) bool {
+	if c.pol.gran == granRank {
+		return c.hasDemandReads(rank)
 	}
-	if c.dev.EarliestREF(now, rank) != now {
+	return c.slotQueued(&c.readIdx, rank, c.refresh[rank].targetBank)
+}
+
+// refreshTarget returns the banks rank's pending refresh covers and,
+// under the subarray granularities, the subarray it covers in each
+// (else -1).
+func (c *Controller) refreshTarget(rank int) (banks []int, sa int) {
+	rr := &c.refresh[rank]
+	switch c.pol.gran {
+	case granSlot:
+		return c.dev.SlotBanks(rr.targetBank), -1
+	case granSubarray:
+		return c.allBanks[rr.targetBank : rr.targetBank+1], rr.targetSA
+	case granSlotSubarray:
+		return c.dev.SlotBanks(rr.targetBank), rr.slotSA[rr.targetBank]
+	}
+	return c.allBanks, -1
+}
+
+// closingNext is the closing executor's one decision for rank: its next
+// command and the earliest cycle at or after from it is legal. That is
+// a PRE to the first open bank of the target (under the subarray
+// granularities, only a bank whose open row lies in the target
+// subarray; bank ≥ 0), else the target's REF (bank -1).
+func (c *Controller) closingNext(rank int, from event.Cycle) (at event.Cycle, bank int) {
+	banks, sa := c.refreshTarget(rank)
+	for _, b := range banks {
+		if open := c.dev.OpenRow(rank, b); open >= 0 && (sa < 0 || c.dev.SubarrayOf(int(open)) == sa) {
+			return c.dev.EarliestPRE(from, rank, b), b
+		}
+	}
+	slot := c.refresh[rank].targetBank
+	switch c.pol.gran {
+	case granSlot:
+		return c.dev.EarliestREFSlot(from, rank, slot), -1
+	case granSubarray:
+		return c.dev.EarliestREFsa(from, rank, slot, sa), -1
+	case granSlotSubarray:
+		return c.dev.EarliestREFpbSub(from, rank, slot, sa), -1
+	}
+	return c.dev.EarliestREF(from, rank), -1
+}
+
+// closeStep issues rank's next closing command if it is legal at now,
+// and reports whether it did.
+func (c *Controller) closeStep(rank int, now event.Cycle) bool {
+	at, b := c.closingNext(rank, now)
+	if at != now {
 		return false
 	}
-	if c.cfg.Mode == ModePausing {
-		return c.issueSegment(rank, now)
+	if b < 0 {
+		c.issueRefresh(rank, now)
+		return true
 	}
-	end := c.dev.IssueREF(now, rank)
-	if c.capture != nil {
-		c.capture.Refresh(now, rank)
-	}
-	c.emit(dram.Command{Kind: dram.CmdREF, At: now, Rank: rank})
-	c.RefreshesIssued.Inc()
-	if c.cfg.Mode == ModeElastic {
-		// Elastic accounting: due already advanced when the refresh
-		// became owed; the postponement is how far behind schedule this
-		// issue is.
-		rr.backlog--
-		behind := now - (rr.due - c.dev.Params().REFI*event.Cycle(rr.backlog+1))
-		c.RefreshPostponedCycles.Observe(float64(behind))
-	} else {
-		c.RefreshPostponedCycles.Observe(float64(now - rr.due))
-		rr.due += c.dev.Params().REFI
-	}
-	rr.refEnd = end
-	rr.phase = refRefreshing
-
-	// Reads that are still queued for this rank ride out the freeze
-	// unless the SRAM buffer can serve them right now.
-	if c.rop != nil {
-		c.probeQueuedReads(now, func(l addr.Loc) bool { return l.Rank == rank })
-	}
+	c.dev.IssuePRE(now, rank, b)
+	c.emit(dram.Command{Kind: dram.CmdPRE, At: now, Rank: rank, Bank: b})
 	return true
 }
 
-// pausingForced reports whether a paused refresh must push through: the
-// remaining segments (with closing slack) no longer fit before the next
-// tREFI boundary.
-func (c *Controller) pausingForced(rank int, now event.Cycle) bool {
+// issueRefresh issues rank's pending refresh at now in the
+// granularity's REF form (one command per locked bank below rank
+// granularity), books it with the sequencer, and rotates the target.
+// Pausing sequencing issues its own segments instead.
+func (c *Controller) issueRefresh(rank int, now event.Cycle) {
+	if c.pol.seq == seqPausing {
+		c.issueSegment(rank, now)
+		return
+	}
+	rr := &c.refresh[rank]
+	slot := rr.targetBank
+	banks, sa := c.refreshTarget(rank)
+	cmd := dram.Command{Kind: dram.CmdREFpb, At: now, Rank: rank}
+	var end event.Cycle
+	switch c.pol.gran {
+	case granRank:
+		end = c.dev.IssueREF(now, rank)
+		c.emit(dram.Command{Kind: dram.CmdREF, At: now, Rank: rank})
+		banks = nil
+	case granSlot:
+		end = c.dev.IssueREFSlot(now, rank, slot)
+	case granSubarray:
+		end = c.dev.IssueREFsa(now, rank, slot, sa)
+		cmd.Kind, cmd.Sub = dram.CmdREFsa, sa
+	case granSlotSubarray:
+		end = c.dev.IssueREFpbSub(now, rank, slot, sa)
+		cmd.Kind, cmd.Sub = dram.CmdREFsa, sa
+	}
+	for _, b := range banks {
+		cmd.Bank = b
+		c.emit(cmd)
+	}
+	if c.capture != nil {
+		c.capture.Refresh(now, rank)
+	}
+	c.RefreshesIssued.Inc()
+	c.account(rank, now)
+	rr.refEnd = end
+	rr.phase = refRefreshing
+	c.rotateTarget(rank, sa)
+
+	// Reads that are still queued for the frozen banks ride out the
+	// freeze unless the SRAM buffer can serve them right now.
+	if c.rop != nil {
+		whole := c.pol.gran == granRank
+		c.probeQueuedReads(now, func(l addr.Loc) bool {
+			return l.Rank == rank && (whole || c.dev.SlotOf(l.Bank) == slot)
+		})
+	}
+}
+
+// account books an issued refresh with the sequencer: it records the
+// postponement (or pull-in) and advances the rank's schedule.
+func (c *Controller) account(rank int, now event.Cycle) {
+	rr := &c.refresh[rank]
+	switch c.pol.seq {
+	case seqElastic:
+		// The due time already advanced when the refresh became owed; the
+		// postponement is how far behind schedule this issue is.
+		rr.backlog--
+		behind := now - (rr.due - c.cadence*event.Cycle(rr.backlog+1))
+		c.RefreshPostponedCycles.Observe(float64(behind))
+	case seqOutOfOrder:
+		// Each slot keeps its own schedule, and the issue either retires
+		// an owed refresh (postponement is how far past the slot's
+		// boundary it ran) or banks a pull-in.
+		slot := rr.targetBank
+		if rr.pullIn {
+			c.RefreshPullIns.Inc()
+		} else {
+			c.RefreshPostponedCycles.Observe(float64(now - rr.slotDue[slot]))
+		}
+		if c.pol.drainAware && c.draining {
+			c.DrainPiggybacks.Inc()
+		}
+		rr.slotDue[slot] += c.dev.Params().REFI
+		rr.pullIn = false
+		rr.due = rr.slotDue[0]
+		for _, d := range rr.slotDue[1:] {
+			rr.due = min(rr.due, d)
+		}
+	default:
+		c.RefreshPostponedCycles.Observe(float64(now - rr.due))
+		rr.due += c.cadence
+	}
+}
+
+// rotateTarget moves rank's target past the one just refreshed (whose
+// subarray was sa): subarrays within a bank and then the next bank at
+// subarray granularity; else slots round-robin, each slot rotating its
+// own subarray under SARP. Out-of-order sequencing overrides the next
+// slot with its own pick.
+func (c *Controller) rotateTarget(rank, sa int) {
+	rr := &c.refresh[rank]
+	subarrays := c.dev.Params().Subarrays
+	switch c.pol.gran {
+	case granSubarray:
+		rr.targetSA = sa + 1
+		if rr.targetSA >= subarrays {
+			rr.targetSA = 0
+			rr.targetBank = (rr.targetBank + 1) % c.geo.Banks
+		}
+	case granSlotSubarray:
+		rr.slotSA[rr.targetBank] = (sa + 1) % subarrays
+		fallthrough
+	case granSlot:
+		rr.targetBank = (rr.targetBank + 1) % c.dev.RefreshSlots()
+	}
+}
+
+// pauseForcedAt is the cycle from which a paused refresh must push
+// through: the remaining segments (with closing slack) would no longer
+// fit before the next tREFI boundary, by which the in-flight refresh
+// must finish.
+func (c *Controller) pauseForcedAt(rank int) event.Cycle {
 	rr := &c.refresh[rank]
 	p := c.dev.Params()
 	segLen := p.RFC / pauseSegments
 	remaining := event.Cycle(pauseSegments-rr.segDone) * (segLen + pauseResumeOverhead + 20)
-	// The in-flight refresh must finish before the next one is due.
-	return now+remaining >= rr.due+p.REFI
+	return rr.due + p.REFI - remaining
 }
 
-// issueSegment issues one pausable-refresh segment for ModePausing. The
-// logical refresh completes (and the schedule advances) when the last
-// segment ends.
-func (c *Controller) issueSegment(rank int, now event.Cycle) bool {
+// issueSegment issues one segment of a pausable rank refresh (pausing
+// sequencing's own REF form). The logical refresh completes, and the
+// schedule advances, when the last segment ends.
+func (c *Controller) issueSegment(rank int, now event.Cycle) {
 	rr := &c.refresh[rank]
 	p := c.dev.Params()
 	segLen := p.RFC / pauseSegments
@@ -425,7 +520,6 @@ func (c *Controller) issueSegment(rank int, now event.Cycle) bool {
 		c.RefreshPostponedCycles.Observe(float64(end - rr.due))
 		rr.due += p.REFI
 	}
-	return true
 }
 
 // probeQueuedReads serves the queued demand reads that frozen selects
@@ -443,143 +537,15 @@ func (c *Controller) probeQueuedReads(now event.Cycle, frozen func(addr.Loc) boo
 	})
 }
 
-// SetDebugElastic installs the elastic-refresh test hook (diagnostics).
-func SetDebugElastic(fn func(now, due int64, backlog, readq int)) {
-	if fn == nil {
-		debugElastic = nil
-		return
-	}
-	debugElastic = func(now, due event.Cycle, backlog, readq int) {
-		fn(int64(now), int64(due), backlog, readq)
-	}
-}
-
-// SetDebugOoO installs the out-of-order refresh test hook
-// (diagnostics): it observes the rank's owed and pulled-ahead refresh
-// counts right after each out-of-order issue.
-func SetDebugOoO(fn func(now int64, owed, ahead int)) {
-	if fn == nil {
-		debugOoO = nil
-		return
-	}
-	debugOoO = func(now event.Cycle, owed, ahead int) {
-		fn(int64(now), owed, ahead)
-	}
-}
-
-// beginBankRefresh starts one bank's refresh round (bank modes). Under
-// ModeROPBank the engine's gate decides whether the bank's predicted
-// lines are staged first.
-func (c *Controller) beginBankRefresh(rank int, now event.Cycle) {
-	rr := &c.refresh[rank]
-	if c.rop == nil {
-		rr.phase = refClosing
-		return
-	}
-	cadence := float64(c.dev.Params().REFI) / float64(c.dev.RefreshSlots())
-	dec := c.rop.OnRefreshStart(rank, now)
-	rr.wantPrefetch = dec.Prefetch
-	rr.drainDeadline = now + event.FromFloat(0.1*cadence)
-	rr.deadline = now + event.FromFloat(0.5*cadence)
-	rr.phase = refDraining
-}
-
-// hasBankReads reports whether any queued demand read targets a bank of
-// the given refresh slot.
-func (c *Controller) hasBankReads(rank, slot int) bool {
+// slotQueued reports whether the indexed queue holds a request for any
+// bank of rank's refresh slot.
+func (c *Controller) slotQueued(ix *bankIndex, rank, slot int) bool {
 	for _, b := range c.dev.SlotBanks(slot) {
-		if c.readIdx.has(rank, b) {
+		if ix.has(rank, b) {
 			return true
 		}
 	}
 	return false
-}
-
-// startBankFills generates and queues prefetch fills for every bank of
-// the target refresh slot.
-func (c *Controller) startBankFills(rank int, now event.Cycle) {
-	rr := &c.refresh[rank]
-	rr.phase = refClosing
-	if !rr.wantPrefetch {
-		return
-	}
-	var locs []addr.Loc
-	for _, b := range c.dev.SlotBanks(rr.targetBank) {
-		locs = append(locs, c.rop.GenerateBankCandidates(rank, b)...)
-	}
-	c.launchFills(rank, locs, now)
-}
-
-// closeBankStep precharges the target refresh slot's open banks (one
-// per tick) and then issues the slot's bank-granularity refresh: one
-// command that locks every bank of the slot's set (a single bank under
-// per-bank refresh, one bank per group under DDR5 same-bank refresh).
-// It reports whether a command was issued.
-func (c *Controller) closeBankStep(rank int, now event.Cycle) bool {
-	rr := &c.refresh[rank]
-	slot := rr.targetBank
-	for _, b := range c.dev.SlotBanks(slot) {
-		if c.dev.OpenRow(rank, b) < 0 {
-			continue
-		}
-		if c.dev.EarliestPRE(now, rank, b) == now {
-			c.dev.IssuePRE(now, rank, b)
-			c.emit(dram.Command{Kind: dram.CmdPRE, At: now, Rank: rank, Bank: b})
-			return true
-		}
-		return false // a set bank is open but PRE is not yet legal: wait
-	}
-	if c.dev.EarliestREFSlot(now, rank, slot) != now {
-		return false
-	}
-	end := c.dev.IssueREFSlot(now, rank, slot)
-	if c.capture != nil {
-		c.capture.Refresh(now, rank)
-	}
-	for _, b := range c.dev.SlotBanks(slot) {
-		c.emit(dram.Command{Kind: dram.CmdREFpb, At: now, Rank: rank, Bank: b})
-	}
-	c.RefreshesIssued.Inc()
-	if c.oooMode() {
-		// Out-of-order accounting: each slot keeps its own schedule, and
-		// the issue either retires an owed refresh (postponement is how
-		// far past the slot's boundary it ran) or banks a pull-in.
-		if rr.pullIn {
-			c.RefreshPullIns.Inc()
-		} else {
-			c.RefreshPostponedCycles.Observe(float64(now - rr.slotDue[slot]))
-		}
-		if c.cfg.Mode == ModeDARP && c.draining {
-			c.DrainPiggybacks.Inc()
-		}
-		rr.slotDue[slot] += c.dev.Params().REFI
-		rr.pullIn = false
-		due := rr.slotDue[0]
-		for _, d := range rr.slotDue[1:] {
-			if d < due {
-				due = d
-			}
-		}
-		rr.due = due
-		if debugOoO != nil {
-			owed, ahead := c.oooBacklog(rank, now)
-			debugOoO(now, owed, ahead)
-		}
-	} else {
-		c.RefreshPostponedCycles.Observe(float64(now - rr.due))
-		rr.due += c.dev.Params().REFI / event.Cycle(c.dev.RefreshSlots())
-	}
-	rr.refEnd = end
-	rr.phase = refRefreshing
-	if c.rop != nil {
-		c.probeQueuedReads(now, func(l addr.Loc) bool {
-			return l.Rank == rank && c.dev.SlotOf(l.Bank) == slot
-		})
-	}
-	if !c.oooMode() {
-		rr.targetBank = (rr.targetBank + 1) % c.dev.RefreshSlots()
-	}
-	return true
 }
 
 // oooBacklog tallies the rank's out-of-order refresh position at now:
@@ -604,21 +570,10 @@ func (c *Controller) oooBacklog(rank int, now event.Cycle) (owed, ahead int) {
 // bank with no queued writes is free to refresh — Chang et al.
 // HPCA'14's write-refresh parallelization).
 func (c *Controller) oooSlotIdle(rank, slot int) bool {
-	if c.cfg.Mode == ModeDARP && c.draining {
-		return !c.hasBankWrites(rank, slot)
+	if c.pol.drainAware && c.draining {
+		return !c.slotQueued(&c.writeIdx, rank, slot)
 	}
-	return !c.hasBankReads(rank, slot)
-}
-
-// hasBankWrites reports whether any queued write targets a bank of the
-// given refresh slot.
-func (c *Controller) hasBankWrites(rank, slot int) bool {
-	for _, b := range c.dev.SlotBanks(slot) {
-		if c.writeIdx.has(rank, b) {
-			return true
-		}
-	}
-	return false
+	return !c.slotQueued(&c.readIdx, rank, slot)
 }
 
 // pickOoOSlot chooses which refresh slot (if any) the out-of-order
@@ -658,84 +613,4 @@ func (c *Controller) pickOoOSlot(rank int, now event.Cycle) (slot int, pullIn bo
 		return -1, false
 	}
 	return best, rr.slotDue[best] > now
-}
-
-// closeSubarrayStep precharges the target subarray's open row (if any)
-// and issues its refresh. It reports whether a command was issued.
-func (c *Controller) closeSubarrayStep(rank int, now event.Cycle) bool {
-	rr := &c.refresh[rank]
-	p := c.dev.Params()
-	b, sa := rr.targetBank, rr.targetSA
-	if open := c.dev.OpenRow(rank, b); open >= 0 && c.dev.SubarrayOf(int(open)) == sa {
-		if c.dev.EarliestPRE(now, rank, b) == now {
-			c.dev.IssuePRE(now, rank, b)
-			c.emit(dram.Command{Kind: dram.CmdPRE, At: now, Rank: rank, Bank: b})
-			return true
-		}
-		return false
-	}
-	if c.dev.EarliestREFsa(now, rank, b, sa) != now {
-		return false
-	}
-	end := c.dev.IssueREFsa(now, rank, b, sa)
-	if c.capture != nil {
-		c.capture.Refresh(now, rank)
-	}
-	c.emit(dram.Command{Kind: dram.CmdREFsa, At: now, Rank: rank, Bank: b, Sub: sa})
-	c.RefreshesIssued.Inc()
-	c.RefreshPostponedCycles.Observe(float64(now - rr.due))
-	rr.refEnd = end
-	rr.due += p.REFI / event.Cycle(c.geo.Banks*p.Subarrays)
-	rr.phase = refRefreshing
-	// Advance the round-robin target: subarrays within a bank, then the
-	// next bank.
-	rr.targetSA++
-	if rr.targetSA >= p.Subarrays {
-		rr.targetSA = 0
-		rr.targetBank = (rr.targetBank + 1) % c.geo.Banks
-	}
-	return true
-}
-
-// closeSARPStep issues one subarray-confined per-bank refresh to the
-// target slot (SARP, Chang et al. HPCA'14): the slot's banks keep
-// serving demand to every other subarray while the target subarray
-// absorbs the full tRFCpb refresh. Open rows inside the target
-// subarray are precharged first (one per tick); rows elsewhere in the
-// bank stay open.
-func (c *Controller) closeSARPStep(rank int, now event.Cycle) bool {
-	rr := &c.refresh[rank]
-	slot := rr.targetBank
-	sa := rr.slotSA[slot]
-	for _, b := range c.dev.SlotBanks(slot) {
-		open := c.dev.OpenRow(rank, b)
-		if open < 0 || c.dev.SubarrayOf(int(open)) != sa {
-			continue
-		}
-		if c.dev.EarliestPRE(now, rank, b) == now {
-			c.dev.IssuePRE(now, rank, b)
-			c.emit(dram.Command{Kind: dram.CmdPRE, At: now, Rank: rank, Bank: b})
-			return true
-		}
-		return false
-	}
-	if c.dev.EarliestREFpbSub(now, rank, slot, sa) != now {
-		return false
-	}
-	end := c.dev.IssueREFpbSub(now, rank, slot, sa)
-	if c.capture != nil {
-		c.capture.Refresh(now, rank)
-	}
-	for _, b := range c.dev.SlotBanks(slot) {
-		c.emit(dram.Command{Kind: dram.CmdREFsa, At: now, Rank: rank, Bank: b, Sub: sa})
-	}
-	c.RefreshesIssued.Inc()
-	c.RefreshPostponedCycles.Observe(float64(now - rr.due))
-	rr.refEnd = end
-	rr.due += c.dev.Params().REFI / event.Cycle(c.dev.RefreshSlots())
-	rr.phase = refRefreshing
-	// Rotate this slot's subarray, then hand the round to the next slot.
-	rr.slotSA[slot] = (sa + 1) % c.dev.Params().Subarrays
-	rr.targetBank = (rr.targetBank + 1) % c.dev.RefreshSlots()
-	return true
 }

@@ -107,12 +107,9 @@ func TestBankRefreshCadencePerStandard(t *testing.T) {
 // scheduled refreshes issue) regardless of the device's native
 // granularity.
 func TestAllModesRunOnAllStandards(t *testing.T) {
-	modes := []Mode{
-		ModeBaseline, ModeNoRefresh, ModeROP, ModeElastic,
-		ModePausing, ModeBankRefresh, ModeROPBank, ModeSubarrayRefresh,
-	}
 	for _, std := range dram.Standards() {
-		for _, mode := range modes {
+		for m := range presets {
+			mode := Mode(m)
 			c, q := newStandardController(t, std.Name(), mode)
 			p := c.Device().Params()
 			if mode == ModeNoRefresh {

@@ -123,20 +123,17 @@ func (c *Controller) refreshWake(r int, now event.Cycle) event.Cycle {
 	rr := &c.refresh[r]
 	switch rr.phase {
 	case refIdle:
-		if c.oooMode() {
+		switch c.pol.seq {
+		case seqOutOfOrder:
 			return c.oooWake(r, now)
-		}
-		if c.cfg.Mode == ModeElastic && rr.backlog > 0 &&
-			(rr.backlog >= maxElasticBacklog || !c.hasDemandReads(r)) {
-			return now + 1 // owed refresh can issue in this idle gap
+		case seqElastic:
+			if rr.backlog > 0 && (rr.backlog >= maxElasticBacklog || !c.hasDemandReads(r)) {
+				return now + 1 // owed refresh can issue in this idle gap
+			}
 		}
 		return rr.due
 	case refDraining:
-		empty := !c.hasDemandReads(r)
-		if c.bankMode() {
-			empty = !c.hasBankReads(r, rr.targetBank)
-		}
-		if empty {
+		if !c.targetHasReads(r) {
 			return now + 1
 		}
 		return rr.drainDeadline
@@ -149,17 +146,11 @@ func (c *Controller) refreshWake(r int, now event.Cycle) event.Cycle {
 		if !c.hasDemandReads(r) {
 			return now + 1
 		}
-		// Forced resume: the first cycle pausingForced becomes true.
-		p := c.dev.Params()
-		segLen := p.RFC / pauseSegments
-		remaining := event.Cycle(pauseSegments-rr.segDone) * (segLen + pauseResumeOverhead + 20)
-		forcedAt := rr.due + p.REFI - remaining
-		if forcedAt <= now {
-			return now + 1
-		}
-		return forcedAt
+		// Forced resume: the first cycle the segments no longer fit.
+		return max(c.pauseForcedAt(r), now+1)
 	case refClosing:
-		return c.closingWake(r, now)
+		at, _ := c.closingNext(r, now+1)
+		return at
 	case refRefreshing:
 		return rr.refEnd
 	}
@@ -193,46 +184,6 @@ func (c *Controller) oooWake(r int, now event.Cycle) event.Cycle {
 		t = minCycle(t, b)
 	}
 	return t
-}
-
-// closingWake reports when the closing sequence can issue its next
-// command: the first open bank's legal PRE, or — once quiesced — the
-// legal REF (rank, per-bank, or per-subarray form, matching
-// closeStep/closeBankStep/closeSubarrayStep).
-func (c *Controller) closingWake(r int, now event.Cycle) event.Cycle {
-	rr := &c.refresh[r]
-	base := now + 1
-	switch {
-	case c.cfg.Mode == ModeSubarrayRefresh:
-		b, sa := rr.targetBank, rr.targetSA
-		if open := c.dev.OpenRow(r, b); open >= 0 && c.dev.SubarrayOf(int(open)) == sa {
-			return c.dev.EarliestPRE(base, r, b)
-		}
-		return c.dev.EarliestREFsa(base, r, b, sa)
-	case c.cfg.Mode == ModeSARP:
-		slot := rr.targetBank
-		sa := rr.slotSA[slot]
-		for _, b := range c.dev.SlotBanks(slot) {
-			if open := c.dev.OpenRow(r, b); open >= 0 && c.dev.SubarrayOf(int(open)) == sa {
-				return c.dev.EarliestPRE(base, r, b)
-			}
-		}
-		return c.dev.EarliestREFpbSub(base, r, slot, sa)
-	case c.bankMode():
-		for _, b := range c.dev.SlotBanks(rr.targetBank) {
-			if c.dev.OpenRow(r, b) >= 0 {
-				return c.dev.EarliestPRE(base, r, b)
-			}
-		}
-		return c.dev.EarliestREFSlot(base, r, rr.targetBank)
-	default:
-		for b := 0; b < c.geo.Banks; b++ {
-			if c.dev.OpenRow(r, b) >= 0 {
-				return c.dev.EarliestPRE(base, r, b)
-			}
-		}
-		return c.dev.EarliestREF(base, r)
-	}
 }
 
 // nextDrainState applies one per-cycle update of the write-drain
@@ -289,7 +240,7 @@ func (c *Controller) scheduleWake(now event.Cycle) event.Cycle {
 // which a write is ready. Under DARP the refresh pick reads the flag,
 // so that mode keeps ticking every cycle.
 func (c *Controller) drainOscWake(now event.Cycle) event.Cycle {
-	if c.cfg.Mode == ModeDARP {
+	if c.pol.drainAware {
 		return now + 1
 	}
 	at := c.plan(&c.writeIdx, now+1).at
@@ -348,7 +299,7 @@ func (c *Controller) plan(ix *bankIndex, from event.Cycle) *queuePlan {
 // them.
 func (c *Controller) queueWake(ix *bankIndex, from event.Cycle) queuePlan {
 	p := queuePlan{at: cycleNever, from: from, ver: ix.ver, devVer: c.devVer}
-	saMode := c.cfg.Mode == ModeSubarrayRefresh || c.cfg.Mode == ModeSARP
+	saMode := c.pol.gran == granSubarray || c.pol.gran == granSlotSubarray
 	for r, occ := range ix.occ {
 		if ix.demand {
 			occ &^= c.blockedBanks(r)
@@ -399,14 +350,16 @@ func (c *Controller) foldPlan(ix *bankIndex, req *request) {
 }
 
 // blockedBanks is the mask of rank's banks that refresh quiescing bars
-// demand commands from: all of them while the rank closes for a
-// rank-granularity refresh, else the banks of the closing refresh slot.
-// Other refresh locks show in the device timing.
+// demand commands from: the banks of the closing refresh slot under the
+// slot granularities, else all of them (a subarray refresh, too,
+// quiesces the whole rank for its brief close). Other refresh locks show
+// in the device timing; SARP's never set a bank's refresh lock, so for
+// it this closing quiesce is the only bank-wide block.
 func (c *Controller) blockedBanks(rank int) uint64 {
 	if c.refresh == nil || c.refresh[rank].phase != refClosing {
 		return 0
 	}
-	if !c.bankMode() {
+	if g := c.pol.gran; g != granSlot && g != granSlotSubarray {
 		return ^uint64(0)
 	}
 	var m uint64

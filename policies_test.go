@@ -121,13 +121,13 @@ func TestPoliciesTableShape(t *testing.T) {
 	}
 }
 
-// refreshModeConsts parses internal/memctrl/controller.go and returns
+// refreshModeConsts parses internal/memctrl/policy.go and returns
 // the names of every Mode constant, so documentation gates track the
 // registered policy set automatically instead of a hand-kept list.
 func refreshModeConsts(t *testing.T) []string {
 	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filepath.Join("internal", "memctrl", "controller.go"), nil, 0)
+	f, err := parser.ParseFile(fset, filepath.Join("internal", "memctrl", "policy.go"), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func refreshModeConsts(t *testing.T) []string {
 		}
 	}
 	if len(names) < 8 {
-		t.Fatalf("found only %d Mode constants in controller.go — parser out of sync?", len(names))
+		t.Fatalf("found only %d Mode constants in policy.go — parser out of sync?", len(names))
 	}
 	return names
 }

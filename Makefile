@@ -2,10 +2,7 @@
 
 GO ?= go
 
-# Latest committed baseline, used as the regression reference.
-REF ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-
-.PHONY: test race lint lint-fix-check bench bench-gate microbench quick distributed chaos traces
+.PHONY: test race lint lint-fix-check bench microbench quick distributed chaos traces
 
 # test builds everything and runs the full suite (tier-1 gate).
 test:
@@ -31,15 +28,11 @@ lint:
 lint-fix-check:
 	$(GO) run ./cmd/simlint -unused -time -factcache $(LINT_FACTCACHE) ./...
 
-# bench measures the hot-path baseline and emits BENCH_<today>.json
+# bench runs the repository benchmark (bench/) at seeds 1-3, traced and
+# pinned to one CPU, and writes the ledger BENCH_<UTC date>.json
 # (docs/PERFORMANCE.md documents the schema and how to read it).
 bench:
-	$(GO) run ./cmd/benchgate
-
-# bench-gate re-measures and fails if the quick Fig1 campaign regressed
-# more than 15% against the committed reference ($(REF)).
-bench-gate:
-	$(GO) run ./cmd/benchgate -out BENCH_ci.json -ref $(REF)
+	bash scripts/bench_ledger.sh
 
 # microbench runs the per-subsystem benchmarks with benchstat-friendly
 # output (pipe two runs into benchstat to compare).

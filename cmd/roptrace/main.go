@@ -1,5 +1,5 @@
-// Command roptrace converts, inspects, validates and clones memory
-// traces in the repo's two interchange formats: Ramulator/DRAMSim2
+// Command roptrace generates, converts, inspects, validates and clones
+// memory traces in the repo's two interchange formats: Ramulator/DRAMSim2
 // style text ("<cycle> <R|W> <hex-addr>") and the compact binary .ropt
 // format. It also regenerates the committed workload zoo under
 // testdata/traces/ through the simulator's capture path.
@@ -7,14 +7,17 @@
 //
 // Usage:
 //
+//	roptrace gen -bench lbm [-n 100000] [-seed 1] -o lbm.ropt
 //	roptrace convert -in trace.txt -out trace.ropt [-block 4096]
 //	roptrace inspect -in trace.ropt [-n 5]
 //	roptrace validate -in trace.ropt
 //	roptrace clone -in trace.ropt [-seed 1] [-window 25000] [-stats-out fit.json]
 //	roptrace zoo -dir testdata/traces [-insts 600000]
 //
-// convert picks the output format from the -out extension (.ropt is
-// binary, anything else text) and sniffs the input by content.
+// gen writes a synthetic benchmark's generated record stream. gen and
+// convert pick the output format from the output file's extension
+// (.ropt is binary, anything else text); convert sniffs its input by
+// content.
 // validate exits 1 on any malformed input. clone fits a synthetic
 // workload profile to the trace and prints the fitted parameters and
 // the fit error; -stats-out writes the trace.fit.* metric snapshot.
@@ -40,6 +43,8 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
+	case "gen":
+		err = cmdGen(os.Args[2:])
 	case "convert":
 		err = cmdConvert(os.Args[2:])
 	case "inspect":
@@ -68,6 +73,7 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage: roptrace <subcommand> [flags]
 
 subcommands:
+  gen       write a synthetic benchmark's trace
   convert   convert between text and .ropt trace formats
   inspect   print a trace's header, counts and leading records
   validate  fully decode a trace, exit 1 if malformed
@@ -91,12 +97,44 @@ func cmdConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
+	if err := writeTrace(*out, recs, *block); err != nil {
+		return err
+	}
+	fmt.Printf("%s: %d records -> %s\n", *in, len(recs), *out)
+	return nil
+}
+
+func cmdGen(args []string) error {
+	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+	bench := fs.String("bench", "libquantum", "benchmark whose generator to run")
+	n := fs.Int("n", 100_000, "records to generate")
+	seed := fs.Int64("seed", 1, "generator seed")
+	out := fs.String("o", "", "output file (.ropt extension selects binary, else text)")
+	fs.Parse(args)
+	if *out == "" {
+		return fmt.Errorf("gen: -o is required")
+	}
+	prof, err := workload.Get(*bench)
 	if err != nil {
 		return err
 	}
-	if filepath.Ext(*out) == ".ropt" {
-		err = trace.EncodeRoptBlocked(f, recs, *block)
+	recs := workload.Take(workload.NewGenerator(prof, *seed), *n)
+	if err := writeTrace(*out, recs, trace.DefaultBlockRecords); err != nil {
+		return err
+	}
+	fmt.Printf("%s: %d records -> %s\n", *bench, len(recs), *out)
+	return nil
+}
+
+// writeTrace writes recs to path as .ropt in blocks of block records
+// when the path ends in .ropt, else in the text grammar.
+func writeTrace(path string, recs []workload.Record, block int) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if filepath.Ext(path) == ".ropt" {
+		err = trace.EncodeRoptBlocked(f, recs, block)
 	} else {
 		err = trace.WriteTraceText(f, recs)
 	}
@@ -104,11 +142,7 @@ func cmdConvert(args []string) error {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d records -> %s\n", *in, len(recs), *out)
-	return nil
+	return f.Close()
 }
 
 func cmdInspect(args []string) error {
@@ -233,15 +267,7 @@ func cmdZoo(args []string) error {
 		}
 		recs := res.CoreTraces[0]
 		out := filepath.Join(*dir, name+".ropt")
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		if err := trace.EncodeRopt(f, recs); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeTrace(out, recs, trace.DefaultBlockRecords); err != nil {
 			return err
 		}
 		fmt.Printf("%-10s %6d records -> %s\n", name, len(recs), out)

@@ -5,7 +5,7 @@ import "testing"
 // Microbenchmarks for the calendar-queue hot paths. Steady-state
 // schedule+dispatch must be allocation-free (the pool recycles event
 // objects); run with -benchmem to verify allocs/op stays at 0.
-// cmd/benchgate snapshots these numbers into BENCH_<date>.json.
+// `make microbench` runs them (docs/PERFORMANCE.md §4).
 
 // BenchmarkScheduleStepNear measures the common case: self-renewing
 // events within the calendar window (DRAM command and core-step

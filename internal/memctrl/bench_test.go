@@ -10,8 +10,8 @@ import (
 
 // Microbenchmarks for the controller hot paths: demand service through
 // the per-bank index lists, and the exact-wake sleep through refresh
-// cadence with no traffic. cmd/benchgate snapshots these numbers into
-// BENCH_<date>.json.
+// cadence with no traffic. `make microbench` runs them
+// (docs/PERFORMANCE.md §4).
 
 func benchController(mode Mode) (*Controller, *event.Queue) {
 	params := dram.DDR4_1600(dram.Refresh1x)

@@ -684,7 +684,8 @@ func (c *Controller) tick(now event.Cycle) {
 // would have slept past a cycle where this tick issued a command or
 // advanced controller state (a drain flag flip that syncDrain would
 // replay does not count, but must match the replay), if a queue plan
-// reused without a sweep differs from a fresh sweep, or if the request
+// reused without a sweep differs from a fresh sweep, if a prefetch fill
+// issues while a demand read of its line is queued, or if the request
 // pool's conservation identity (poolBalanced) fails. TestCrossCheckWake
 // runs full simulations in every refresh mode under it. Not safe to
 // toggle mid-run.
@@ -715,17 +716,19 @@ func (c *Controller) nextRefreshDue() (event.Cycle, bool) {
 // completeRead finishes a demand read or prefetch fill at dataAt.
 func (c *Controller) completeRead(req *request, dataAt event.Cycle) {
 	if req.prefetch {
+		// A fill issues only when no demand read can, so no queued
+		// read wants this line: fills exist only while their rank is
+		// filling, when no refresh bars its banks, and a read of the
+		// line would be a row hit exactly as ready as the fill.
+		if CrossCheckWake {
+			for _, dr := range c.readQ {
+				if dr.loc == req.loc {
+					panic(fmt.Sprintf("fill of %+v issued at %d with a same-line demand read queued", req.loc, c.q.Now()))
+				}
+			}
+		}
 		c.PrefetchFillsIssued.Inc()
 		c.stageFill(req.loc, dataAt)
-		// Read merging: queued demand reads for the same line ride the
-		// fill's data burst instead of fetching from DRAM again.
-		c.filterQueue(&c.readQ, true, func(dr *request) bool {
-			if dr.loc != req.loc {
-				return false
-			}
-			c.finishRead(dr.arrive, dataAt, dr.done)
-			return true
-		})
 		return
 	}
 	c.finishRead(req.arrive, dataAt, req.done)
@@ -885,8 +888,7 @@ func (c *Controller) removeReq(queue *[]*request, req *request) {
 // runs once per request, in queue order), resynchronizes the queue's
 // bank index, and returns the removed requests to the free list. With
 // notify set, a removal wakes any core waiting for queue space. Every
-// bulk removal (read merging, SRAM probes, fill drops) routes through
-// here.
+// bulk removal (SRAM probes, fill drops) routes through here.
 func (c *Controller) filterQueue(queue *[]*request, notify bool, drop func(*request) bool) {
 	kept := (*queue)[:0]
 	for _, req := range *queue {

@@ -11,16 +11,6 @@
 // form the memory-controller request stream.
 package workload
 
-import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-	"strconv"
-	"strings"
-)
-
 // Record is one memory operation in a trace.
 type Record struct {
 	// Gap is the number of non-memory instructions executed since the
@@ -75,137 +65,4 @@ func Take(s Stream, n int) []Record {
 		out = append(out, r)
 	}
 	return out
-}
-
-// binaryMagic identifies the binary trace format.
-var binaryMagic = [4]byte{'R', 'O', 'P', '1'}
-
-// WriteBinary encodes records to w in the compact binary trace format:
-// a 4-byte magic followed by varint-encoded (gap, line-delta zigzag,
-// flags) triples.
-func WriteBinary(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	prevLine := uint64(0)
-	for _, r := range recs {
-		n := binary.PutUvarint(buf[:], uint64(r.Gap))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		delta := int64(r.Line) - int64(prevLine)
-		n = binary.PutVarint(buf[:], delta)
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		prevLine = r.Line
-		flag := byte(0)
-		if r.Write {
-			flag = 1
-		}
-		if err := bw.WriteByte(flag); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary decodes a binary trace written by WriteBinary.
-func ReadBinary(r io.Reader) ([]Record, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("workload: reading magic: %w", err)
-	}
-	if magic != binaryMagic {
-		return nil, errors.New("workload: not a ROP1 binary trace")
-	}
-	var recs []Record
-	prevLine := uint64(0)
-	for {
-		gap, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("workload: reading gap: %w", err)
-		}
-		if gap > 1<<32-1 {
-			return nil, fmt.Errorf("workload: gap %d overflows uint32", gap)
-		}
-		delta, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("workload: reading line delta: %w", err)
-		}
-		line := uint64(int64(prevLine) + delta)
-		prevLine = line
-		flag, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("workload: reading flags: %w", err)
-		}
-		if flag > 1 {
-			return nil, fmt.Errorf("workload: bad flag byte %#x", flag)
-		}
-		recs = append(recs, Record{Gap: uint32(gap), Line: line, Write: flag == 1})
-	}
-}
-
-// WriteText encodes records to w in a human-readable one-per-line format:
-// "<gap> <line-hex> R|W".
-func WriteText(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
-	for _, r := range recs {
-		op := "R"
-		if r.Write {
-			op = "W"
-		}
-		if _, err := fmt.Fprintf(bw, "%d %x %s\n", r.Gap, r.Line, op); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadText decodes the text format written by WriteText. Blank lines and
-// lines starting with '#' are ignored.
-func ReadText(r io.Reader) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var recs []Record
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("workload: line %d: want 3 fields, got %d", lineNo, len(fields))
-		}
-		gap, err := strconv.ParseUint(fields[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("workload: line %d: gap: %w", lineNo, err)
-		}
-		addr, err := strconv.ParseUint(fields[1], 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: line %d: line: %w", lineNo, err)
-		}
-		var write bool
-		switch fields[2] {
-		case "R":
-			write = false
-		case "W":
-			write = true
-		default:
-			return nil, fmt.Errorf("workload: line %d: op %q", lineNo, fields[2])
-		}
-		recs = append(recs, Record{Gap: uint32(gap), Line: addr, Write: write})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return recs, nil
 }

@@ -1,10 +1,8 @@
 package workload
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestAllProfilesValidate(t *testing.T) {
@@ -184,101 +182,6 @@ func TestGeneratorSequentialDeltas(t *testing.T) {
 	}
 	if frac := float64(plusOne) / float64(total); frac < 0.9 {
 		t.Errorf("+1 delta fraction = %.2f, want ≥0.9", frac)
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	recs := Take(NewGenerator(MustGet("bwaves"), 23), 5000)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(recs, got) {
-		t.Error("binary round trip mismatch")
-	}
-}
-
-func TestBinaryRoundTripProperty(t *testing.T) {
-	f := func(gaps []uint32, lines []uint64, writes []bool) bool {
-		n := len(gaps)
-		if len(lines) < n {
-			n = len(lines)
-		}
-		if len(writes) < n {
-			n = len(writes)
-		}
-		recs := make([]Record, n)
-		for i := 0; i < n; i++ {
-			recs[i] = Record{Gap: gaps[i], Line: lines[i], Write: writes[i]}
-		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, recs); err != nil {
-			return false
-		}
-		got, err := ReadBinary(&buf)
-		if err != nil {
-			return false
-		}
-		if len(got) != len(recs) {
-			return false
-		}
-		for i := range recs {
-			if got[i] != recs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Error("ReadBinary accepted bad magic")
-	}
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
-		t.Error("ReadBinary accepted empty input")
-	}
-}
-
-func TestTextRoundTrip(t *testing.T) {
-	recs := Take(NewGenerator(MustGet("gcc"), 31), 1000)
-	var buf bytes.Buffer
-	if err := WriteText(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(recs, got) {
-		t.Error("text round trip mismatch")
-	}
-}
-
-func TestTextSkipsCommentsAndBlank(t *testing.T) {
-	in := "# header\n\n5 1f R\n 7 20 W \n"
-	got, err := ReadText(bytes.NewBufferString(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Record{{Gap: 5, Line: 0x1f}, {Gap: 7, Line: 0x20, Write: true}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %+v, want %+v", got, want)
-	}
-}
-
-func TestTextRejectsMalformed(t *testing.T) {
-	for _, in := range []string{"x 1f R\n", "5 zz R\n", "5 1f X\n", "5 1f\n"} {
-		if _, err := ReadText(bytes.NewBufferString(in)); err == nil {
-			t.Errorf("ReadText accepted %q", in)
-		}
 	}
 }
 

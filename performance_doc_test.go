@@ -2,7 +2,6 @@ package ropsim
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,12 +10,33 @@ import (
 	"testing"
 )
 
-// TestPerformanceDocComplete enforces the docs/PERFORMANCE.md contract
-// the way TestMetricsDocComplete and TestRobustnessDocComplete enforce
-// theirs: the operational surface a user depends on — make targets,
-// benchgate flags, every hot-path benchmark, every metric recorded in
-// the committed baseline artifacts — must appear in the document, so a
-// new benchmark or baseline metric cannot land undocumented.
+// benchLedger is the schema-2 layout of a committed BENCH_<date>.json
+// (docs/PERFORMANCE.md §5), as scripts/bench_ledger.sh writes it.
+type benchLedger struct {
+	Schema int `json:"schema"`
+	Host   struct {
+		CPUModel string `json:"cpu_model"`
+		CPUs     int    `json:"cpus"`
+		Go       string `json:"go"`
+		GOOS     string `json:"goos"`
+		GOARCH   string `json:"goarch"`
+	} `json:"host"`
+	Runs []struct {
+		Args     []string `json:"args"`
+		Affinity string   `json:"affinity"`
+		Result   struct {
+			Correct bool                       `json:"correct"`
+			Failed  int                        `json:"failed"`
+			Metrics map[string]json.RawMessage `json:"metrics"`
+		} `json:"result"`
+	} `json:"runs"`
+}
+
+// TestPerformanceDocComplete enforces the docs/PERFORMANCE.md contract:
+// the make targets, every flag of the repository benchmark (bench/) and
+// every hot-path microbenchmark appear in the document, and every
+// committed BENCH_*.json ledger is a complete schema-2 record of the
+// benchmark's workloads and metrics as BENCHMARK.json declares them.
 func TestPerformanceDocComplete(t *testing.T) {
 	doc, err := os.ReadFile(filepath.Join("docs", "PERFORMANCE.md"))
 	if err != nil {
@@ -30,7 +50,7 @@ func TestPerformanceDocComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, target := range []string{"bench", "bench-gate", "microbench"} {
+	for _, target := range []string{"bench", "microbench"} {
 		if !strings.Contains(text, "make "+target) {
 			t.Errorf("docs/PERFORMANCE.md does not document `make %s`", target)
 		}
@@ -39,15 +59,18 @@ func TestPerformanceDocComplete(t *testing.T) {
 		}
 	}
 
-	// Every benchgate flag must be documented.
-	gateSrc, err := os.ReadFile(filepath.Join("cmd", "benchgate", "main.go"))
+	// Every flag of the benchmark must be documented.
+	benchSrc, err := os.ReadFile(filepath.Join("bench", "main.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	flagRe := regexp.MustCompile(`flag\.\w+\("([a-z-]+)"`)
-	for _, m := range flagRe.FindAllStringSubmatch(string(gateSrc), -1) {
+	flags := regexp.MustCompile(`fs\.\w+\("([a-z-]+)"`).FindAllStringSubmatch(string(benchSrc), -1)
+	if len(flags) == 0 {
+		t.Fatal("found no flags in bench/main.go; regexp out of sync?")
+	}
+	for _, m := range flags {
 		if !strings.Contains(text, "`-"+m[1]+"`") {
-			t.Errorf("docs/PERFORMANCE.md does not document benchgate flag -%s", m[1])
+			t.Errorf("docs/PERFORMANCE.md does not document bench flag -%s", m[1])
 		}
 	}
 
@@ -69,62 +92,85 @@ func TestPerformanceDocComplete(t *testing.T) {
 		}
 	}
 
-	// At least one baseline artifact must be committed (the acceptance
-	// record), the doc must reference the latest one by name, and every
-	// metric it records must be explained in the doc.
-	baselines, err := filepath.Glob("BENCH_*.json")
+	// The ledgers: each must hold the runs `make bench` makes, correct
+	// and complete against BENCHMARK.json, and the document must name
+	// the latest one and every end-to-end metric.
+	var spec struct {
+		Workloads []struct{ Name string }
+		EndToEnd  []struct{ Name string } `json:"end_to_end"`
+		PerLayer  []struct{ Name string } `json:"per_layer"`
+	}
+	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	baselines = filterCommittedBaselines(baselines)
-	if len(baselines) == 0 {
-		t.Fatal("no committed BENCH_*.json baseline artifact found")
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatalf("parse BENCHMARK.json: %v", err)
 	}
-	sort.Strings(baselines)
-	latest := baselines[len(baselines)-1]
-	if !strings.Contains(text, latest) {
-		t.Errorf("docs/PERFORMANCE.md does not reference the latest baseline %s", latest)
+	if len(spec.Workloads) == 0 || len(spec.EndToEnd) == 0 || len(spec.PerLayer) == 0 {
+		t.Fatal("BENCHMARK.json declares no workloads or metrics")
 	}
-	for _, path := range baselines {
+	for _, m := range spec.EndToEnd {
+		if !strings.Contains(text, "`"+m.Name+"`") {
+			t.Errorf("docs/PERFORMANCE.md does not name end-to-end metric %s", m.Name)
+		}
+	}
+	ledgers, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ledgers) == 0 {
+		t.Fatal("no committed BENCH_*.json ledger found")
+	}
+	sort.Strings(ledgers)
+	if latest := ledgers[len(ledgers)-1]; !strings.Contains(text, latest) {
+		t.Errorf("docs/PERFORMANCE.md does not name the latest ledger %s", latest)
+	}
+	for _, path := range ledgers {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b struct {
-			Schema  int `json:"schema"`
-			Results []struct {
-				Name string `json:"name"`
-				Gate bool   `json:"gate"`
-			} `json:"results"`
-		}
-		if err := json.Unmarshal(data, &b); err != nil {
+		var l benchLedger
+		if err := json.Unmarshal(data, &l); err != nil {
 			t.Fatalf("parse %s: %v", path, err)
 		}
-		if want := fmt.Sprintf(`"schema": %d`, b.Schema); !strings.Contains(text, want) {
-			t.Errorf("docs/PERFORMANCE.md example does not show schema version %d (%s)", b.Schema, path)
+		if l.Schema != 2 {
+			t.Errorf("%s: schema %d, want 2", path, l.Schema)
 		}
-		gated := false
-		for _, r := range b.Results {
-			if !strings.Contains(text, "`"+r.Name+"`") {
-				t.Errorf("docs/PERFORMANCE.md does not explain metric %q recorded in %s", r.Name, path)
+		if h := l.Host; h.CPUModel == "" || h.CPUs < 1 || h.Go == "" || h.GOOS == "" || h.GOARCH == "" {
+			t.Errorf("%s: incomplete host descriptor %+v", path, h)
+		}
+		runs := map[string]int{}
+		for i, r := range l.Runs {
+			runs[strings.Join(r.Args, " ")+" @"+r.Affinity] = i
+		}
+		check := func(args, affinity string, workloads []string, metrics []struct{ Name string }) {
+			i, ok := runs[args+" @"+affinity]
+			if !ok {
+				t.Errorf("%s: no run with args %q on CPUs %q", path, args, affinity)
+				return
 			}
-			gated = gated || r.Gate
+			res := l.Runs[i].Result
+			if !res.Correct || res.Failed != 0 {
+				t.Errorf("%s: run %q: correct %v, failed %d", path, args, res.Correct, res.Failed)
+			}
+			for _, w := range workloads {
+				for _, m := range metrics {
+					if _, ok := res.Metrics[w+m.Name]; !ok {
+						t.Errorf("%s: run %q lacks metric %s%s", path, args, w, m.Name)
+					}
+				}
+			}
 		}
-		if !gated {
-			t.Errorf("%s flags no metric with \"gate\": true; the CI regression gate would be a no-op", path)
+		var all []string
+		for _, w := range spec.Workloads {
+			all = append(all, w.Name+".")
 		}
+		for _, seed := range []string{"1", "2", "3"} {
+			check("-seed "+seed, "all", all, spec.EndToEnd)
+		}
+		check("-seed 1 -trace 1", "all", all, spec.PerLayer)
+		check("-workload campaign-fig7 -seed 1", "0", []string{""}, spec.EndToEnd)
 	}
-}
-
-// filterCommittedBaselines drops scratch artifacts a local bench run
-// may leave in the working tree (the CI output name).
-func filterCommittedBaselines(paths []string) []string {
-	var out []string
-	for _, p := range paths {
-		if p == "BENCH_ci.json" {
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
 }

@@ -123,9 +123,9 @@ func TestTracesDocComplete(t *testing.T) {
 	}
 	for _, must := range []string{
 		"-capture-trace", "trace:",
-		"convert", "inspect", "validate", "clone", "zoo",
+		"roptrace gen", "convert", "inspect", "validate", "clone", "zoo",
 		"records_replayed", "folded_lines", "fit_error",
-		"trace_replay_reqs_per_sec",
+		"replay-zoo", "ns_per_command",
 		"CaptureTraces", "CoreTraces",
 	} {
 		if !strings.Contains(text, must) {

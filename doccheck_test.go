@@ -20,28 +20,10 @@ import (
 // provenance where applicable — is enforced by review; this test
 // enforces presence.
 func TestExportedSymbolsDocumented(t *testing.T) {
-	dirs := []string{
-		".",
-		"internal/addr",
-		"internal/analysis",
-		"internal/cache",
-		"internal/campaign",
-		"internal/core",
-		"internal/cpu",
-		"internal/dram",
-		"internal/energy",
-		"internal/event",
-		"internal/memctrl",
-		"internal/runner",
-		"internal/sim",
-		"internal/stats",
-		"internal/trace",
-		"internal/vldp",
-		"internal/workload",
-	}
 	var missing []string
-	for _, dir := range dirs {
-		missing = append(missing, undocumentedExports(t, dir)...)
+	for _, dir := range simDirs {
+		undocumented, _ := auditDecls(t, dir)
+		missing = append(missing, undocumented...)
 	}
 	if len(missing) > 0 {
 		t.Errorf("%d exported symbols lack doc comments:\n  %s",
@@ -49,19 +31,58 @@ func TestExportedSymbolsDocumented(t *testing.T) {
 	}
 }
 
-// undocumentedExports parses the non-test Go files of one directory and
-// reports every exported declaration without a doc comment.
-func undocumentedExports(t *testing.T, dir string) []string {
+// TestNoPackageLevelHooks keeps test seams scoped to one run: a
+// package-level var of func type, or an exported package-level bool, is
+// a process-wide hook that every run in the process shares, so tests
+// that set it cannot run in parallel and a campaign cannot set it for
+// one run. Seams belong on the controller or on the run they affect.
+func TestNoPackageLevelHooks(t *testing.T) {
+	var hooks []string
+	for _, dir := range simDirs {
+		_, found := auditDecls(t, dir)
+		hooks = append(hooks, found...)
+	}
+	if len(hooks) > 0 {
+		t.Errorf("%d package-level mutable hooks:\n  %s",
+			len(hooks), strings.Join(hooks, "\n  "))
+	}
+}
+
+// simDirs are the simulator packages the declaration audits cover.
+var simDirs = []string{
+	".",
+	"internal/addr",
+	"internal/analysis",
+	"internal/cache",
+	"internal/campaign",
+	"internal/core",
+	"internal/cpu",
+	"internal/dram",
+	"internal/energy",
+	"internal/event",
+	"internal/memctrl",
+	"internal/runner",
+	"internal/sim",
+	"internal/stats",
+	"internal/trace",
+	"internal/vldp",
+	"internal/workload",
+}
+
+// auditDecls parses the non-test Go files of one directory. It reports
+// every exported declaration without a doc comment, and every
+// package-level var that is a hook: one of func type (declared or
+// initialized with a func literal), or an exported one of type bool.
+func auditDecls(t *testing.T, dir string) (undocumented, hooks []string) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("%s: %v", dir, err)
 	}
 	fset := token.NewFileSet()
-	var missing []string
-	report := func(pos token.Pos, what, name string) {
+	report := func(list *[]string, pos token.Pos, what, name string) {
 		p := fset.Position(pos)
-		missing = append(missing, fmt.Sprintf("%s:%d: %s %s", p.Filename, p.Line, what, name))
+		*list = append(*list, fmt.Sprintf("%s:%d: %s %s", p.Filename, p.Line, what, name))
 	}
 	for _, e := range entries {
 		name := e.Name()
@@ -79,7 +100,7 @@ func undocumentedExports(t *testing.T, dir string) []string {
 					continue
 				}
 				if d.Doc == nil {
-					report(d.Pos(), "func", funcName(d))
+					report(&undocumented, d.Pos(), "func", funcName(d))
 				}
 			case *ast.GenDecl:
 				// A doc comment on the decl covers every spec in the
@@ -92,7 +113,7 @@ func undocumentedExports(t *testing.T, dir string) []string {
 							continue
 						}
 						if d.Doc == nil && s.Doc == nil {
-							report(s.Pos(), "type", s.Name.Name)
+							report(&undocumented, s.Pos(), "type", s.Name.Name)
 						}
 						// Exported fields of exported structs are part
 						// of the API: each needs a doc or line comment
@@ -104,18 +125,22 @@ func undocumentedExports(t *testing.T, dir string) []string {
 								}
 								for _, fn := range fl.Names {
 									if fn.IsExported() {
-										report(fn.Pos(), "field", s.Name.Name+"."+fn.Name)
+										report(&undocumented, fn.Pos(), "field", s.Name.Name+"."+fn.Name)
 									}
 								}
 							}
 						}
 					case *ast.ValueSpec:
-						if d.Doc != nil || s.Doc != nil || s.Comment != nil {
-							continue
-						}
-						for _, n := range s.Names {
-							if n.IsExported() {
-								report(s.Pos(), "value", n.Name)
+						for i, n := range s.Names {
+							var value ast.Expr
+							if i < len(s.Values) {
+								value = s.Values[i]
+							}
+							if d.Tok == token.VAR && isHook(n, s.Type, value) {
+								report(&hooks, n.Pos(), "var", n.Name)
+							}
+							if n.IsExported() && d.Doc == nil && s.Doc == nil && s.Comment == nil {
+								report(&undocumented, s.Pos(), "value", n.Name)
 							}
 						}
 					}
@@ -123,7 +148,27 @@ func undocumentedExports(t *testing.T, dir string) []string {
 			}
 		}
 	}
-	return missing
+	return undocumented, hooks
+}
+
+// isHook reports whether the package-level var name, declared with type
+// typ (nil when inferred) and initial value (nil when absent), is a
+// process-wide hook: of func type, or exported and of type bool.
+func isHook(name *ast.Ident, typ, value ast.Expr) bool {
+	if _, ok := typ.(*ast.FuncType); ok {
+		return true
+	}
+	if _, ok := value.(*ast.FuncLit); ok && typ == nil {
+		return true
+	}
+	if !name.IsExported() {
+		return false
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name == "bool"
+	}
+	id, ok := value.(*ast.Ident)
+	return ok && typ == nil && (id.Name == "true" || id.Name == "false")
 }
 
 // exportedReceiver reports whether fn is a plain function or a method

@@ -8,6 +8,7 @@ package analysis
 import (
 	"sort"
 
+	"ropsim/internal/core"
 	"ropsim/internal/event"
 	"ropsim/internal/memctrl"
 )
@@ -101,7 +102,7 @@ func (t *Timeline) BlockedStats(L event.Cycle) (mean float64, max int) {
 type WindowStats struct {
 	// Counts[b][a] is the number of refreshes whose before-window had
 	// activity iff b==1 and whose after-window had reads iff a==1.
-	Counts [2][2]int64
+	Counts core.WindowCounts
 }
 
 // Total reports the number of refreshes classified.
@@ -132,21 +133,15 @@ func (w WindowStats) Coverage() float64 { return w.E1Fraction() + w.E2Fraction()
 // Lambda reports P{A>0 | B>0} (Table I). Refreshes with B>0 never
 // observed yield 0.
 func (w WindowStats) Lambda() float64 {
-	den := w.Counts[1][0] + w.Counts[1][1]
-	if den == 0 {
-		return 0
-	}
-	return float64(w.Counts[1][1]) / float64(den)
+	lambda, _ := w.Counts.Lambda()
+	return lambda
 }
 
 // Beta reports P{A=0 | B=0} (Table I). Refreshes with B=0 never
 // observed yield 0.
 func (w WindowStats) Beta() float64 {
-	den := w.Counts[0][0] + w.Counts[0][1]
-	if den == 0 {
-		return 0
-	}
-	return float64(w.Counts[0][0]) / float64(den)
+	beta, _ := w.Counts.Beta()
+	return beta
 }
 
 // Windows classifies every refresh with observational windows of length
@@ -160,14 +155,7 @@ func (t *Timeline) Windows(W event.Cycle) WindowStats {
 		}
 		b := t.countIn(ref.Rank, from, ref.At, false) > 0
 		a := t.countIn(ref.Rank, ref.At, ref.At+W, true) > 0
-		bi, ai := 0, 0
-		if b {
-			bi = 1
-		}
-		if a {
-			ai = 1
-		}
-		w.Counts[bi][ai]++
+		w.Counts.Record(b, a)
 	}
 	return w
 }

@@ -84,13 +84,34 @@ func startCoordinator(t *testing.T, clk Clock) *Coordinator {
 		HeartbeatEvery: 100 * time.Millisecond,
 		HeartbeatMiss:  time.Second,
 		Local:          echoLocal,
-		Logf:           t.Logf,
+		Logf:           testLogf(t),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// testLogf forwards to t.Logf until the test and its cleanups finish,
+// then drops lines: a drained coordinator's connection goroutines may
+// still report a worker hanging up after that, and t.Logf panics once
+// the test is complete.
+func testLogf(t *testing.T) func(format string, args ...any) {
+	var mu sync.Mutex
+	done := false
+	t.Cleanup(func() {
+		mu.Lock()
+		done = true
+		mu.Unlock()
+	})
+	return func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !done {
+			t.Logf(format, args...)
+		}
+	}
 }
 
 // TestCampaignLocalFallbackWhenNoWorkers pins graceful degradation:

@@ -50,6 +50,26 @@ func TestProfilerDefaults(t *testing.T) {
 	}
 }
 
+func TestWindowCountsObserved(t *testing.T) {
+	// The shared counts report an unobserved condition as (0, false);
+	// each caller picks its own default (the gate 1, Table I 0).
+	var w WindowCounts
+	if l, ok := w.Lambda(); l != 0 || ok {
+		t.Errorf("empty Lambda = %g,%v, want 0,false", l, ok)
+	}
+	w.Record(false, true)
+	if b, ok := w.Beta(); b != 0 || !ok {
+		t.Errorf("Beta = %g,%v, want 0,true", b, ok)
+	}
+	if l, ok := w.Lambda(); l != 0 || ok {
+		t.Errorf("Lambda without B>0 = %g,%v, want 0,false", l, ok)
+	}
+	w.Record(true, true)
+	if l, ok := w.Lambda(); l != 1 || !ok {
+		t.Errorf("Lambda = %g,%v, want 1,true", l, ok)
+	}
+}
+
 func TestProfilerReset(t *testing.T) {
 	p := NewProfiler(2)
 	p.Record(true, true)

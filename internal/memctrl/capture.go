@@ -1,9 +1,6 @@
 package memctrl
 
-import (
-	"ropsim/internal/dram"
-	"ropsim/internal/event"
-)
+import "ropsim/internal/event"
 
 // ReqEvent records one demand request arrival for offline analysis.
 type ReqEvent struct {
@@ -19,18 +16,13 @@ type RefEvent struct {
 }
 
 // Capture accumulates the request/refresh timeline the paper's §III
-// analysis runs over (Figs 2-4, Table I). Command capture is optional
-// and used by the timing-validation tests.
+// analysis runs over (Figs 2-4, Table I). Issued DRAM commands are
+// observed through Controller.SetCommandObserver instead.
 type Capture struct {
 	// Requests is the demand-request arrival timeline, in issue order.
 	Requests []ReqEvent
 	// Refreshes is the REF issue timeline, in issue order.
 	Refreshes []RefEvent
-
-	// StoreCommands enables full DRAM command capture.
-	StoreCommands bool
-	// Commands holds every issued DRAM command when StoreCommands is set.
-	Commands []dram.Command
 }
 
 // Request records a demand request arrival.
@@ -41,11 +33,4 @@ func (c *Capture) Request(at event.Cycle, rank int, isRead bool) {
 // Refresh records a REF issue.
 func (c *Capture) Refresh(at event.Cycle, rank int) {
 	c.Refreshes = append(c.Refreshes, RefEvent{At: at, Rank: rank})
-}
-
-// Command records a DRAM command when StoreCommands is set.
-func (c *Capture) Command(cmd dram.Command) {
-	if c.StoreCommands {
-		c.Commands = append(c.Commands, cmd)
-	}
 }

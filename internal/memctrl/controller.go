@@ -49,6 +49,19 @@ type Config struct {
 	// Capture enables request/refresh trace capture for the offline
 	// refresh-blocking analysis (Figs 2-4, Table I).
 	Capture bool
+
+	// CrossCheck validates the exact wake discipline: every tick re-arms
+	// at the original per-cycle polling cadence and panics if the exact
+	// wake computed after the previous tick would have slept past a cycle
+	// where this tick issued a command or advanced controller state (a
+	// drain flag flip that syncDrain would replay does not count, but
+	// must match the replay), if a queue plan reused without a sweep
+	// differs from a fresh sweep, if a prefetch fill issues while a
+	// demand read of its line is queued, or if the request pool's
+	// conservation identity (poolBalanced) fails. sim.RunCrossChecked
+	// sets it on one run, for the TestCrossCheckWake* tests; no CLI flag
+	// or sim.Config field sets it.
+	CrossCheck bool
 }
 
 // DefaultConfig returns the paper's controller configuration for the
@@ -139,7 +152,7 @@ type Controller struct {
 	wakeChained bool              // the armed tick is a chained wake (see armAfterTick)
 	wakeArmedAt event.Cycle       // cycle at which the armed tick was scheduled
 	wakeChain   event.ChainHandle // retarget handle for the armed chained wake
-	lastExact   event.Cycle       // CrossCheckWake: last computed exact wake
+	lastExact   event.Cycle       // CrossCheck: last computed exact wake
 	tickFn      func(event.Cycle) // tick as a stored closure, reused by every arm
 	spaceFn     func()            // back-pressure notification to the cores
 
@@ -153,6 +166,9 @@ type Controller struct {
 
 	capture *Capture
 	cmdObs  func(dram.Command) // optional command observer (protocol sanitizer)
+	// tickObs, when set, sees every tick event: fired is false for a
+	// superseded wake that skips (the wake tests' view of the loop).
+	tickObs func(now event.Cycle, fired bool)
 
 	// sessionInsertedMark is the SRAM insert counter at the start of the
 	// current fill session (consumption feedback, see startFills).
@@ -371,7 +387,7 @@ func (c *Controller) ROP() *core.Engine { return c.rop }
 // Device exposes the DRAM device (for energy accounting).
 func (c *Controller) Device() *dram.Device { return c.dev }
 
-// Capture returns the trace capture, or nil when disabled.
+// CaptureLog returns the request/refresh capture, or nil when disabled.
 func (c *Controller) CaptureLog() *Capture { return c.capture }
 
 // SetCommandObserver registers fn to be called with every DRAM command
@@ -379,11 +395,10 @@ func (c *Controller) CaptureLog() *Capture { return c.capture }
 // hook the -check protocol sanitizer attaches to; nil disables it.
 func (c *Controller) SetCommandObserver(fn func(dram.Command)) { c.cmdObs = fn }
 
-// emit records an issued command into the capture trace (when enabled)
-// and forwards it to the command observer (when registered). Every
-// command-issue site routes through here so the sanitizer sees the
-// complete stream, and so the device version the queue plans depend on
-// moves with every change of device timing state.
+// emit forwards an issued command to the command observer (when
+// registered). Every command-issue site routes through here so the
+// sanitizer sees the complete stream, and so the device version the
+// queue plans depend on moves with every change of device timing state.
 func (c *Controller) emit(cmd dram.Command) {
 	c.devVer++
 	if c.pol.gran == granSlotSubarray {
@@ -393,9 +408,6 @@ func (c *Controller) emit(cmd dram.Command) {
 				c.SARPParallelServes.Inc()
 			}
 		}
-	}
-	if c.capture != nil {
-		c.capture.Command(cmd)
 	}
 	if c.cmdObs != nil {
 		c.cmdObs(cmd)
@@ -440,9 +452,6 @@ func (c *Controller) ensureWake(at event.Cycle) {
 	if c.wakeAt >= 0 && c.wakeAt <= at {
 		return
 	}
-	if debugWake != nil {
-		debugWake("arm", now, at, int(c.wakeAt))
-	}
 	if c.wakeChained && c.wakeAt > at && c.wakeArmedAt < at {
 		if at == now && c.drainMoves && c.q.ChainPassed(c.wakeChain) {
 			// The sleeping chain already ticked this cycle, so the polling
@@ -460,9 +469,6 @@ func (c *Controller) ensureWake(at event.Cycle) {
 	c.wakeAt = at
 	c.q.Schedule(at, c.tickFn)
 }
-
-// debugWake is a test hook.
-var debugWake func(what string, now, at event.Cycle, wakeAt int)
 
 // EnqueueRead submits a demand read. done runs when the data is
 // available. It reports false when the read queue is full (the paper's
@@ -492,7 +498,7 @@ func (c *Controller) EnqueueRead(loc addr.Loc, src int, done func(event.Cycle)) 
 		}
 	}
 	c.pushRequest(&c.readQ, c.newRequest(loc, now, src, false, done))
-	if CrossCheckWake {
+	if c.cfg.CrossCheck {
 		c.lastExact = now
 	}
 	c.ensureWake(now)
@@ -515,7 +521,7 @@ func (c *Controller) EnqueueWrite(loc addr.Loc, src int) bool {
 		c.rop.OnWrite(loc)
 	}
 	c.pushRequest(&c.writeQ, c.newRequest(loc, now, src, false, nil))
-	if CrossCheckWake {
+	if c.cfg.CrossCheck {
 		c.lastExact = now
 	}
 	c.ensureWake(now)
@@ -604,22 +610,22 @@ func (c *Controller) tick(now event.Cycle) {
 		// after this event was queued (or another tick already claimed
 		// this cycle). Skip explicitly — no work may run off a
 		// superseded wake; TestNoSupersededWakeDoesWork enforces this.
-		if debugWake != nil {
-			debugWake("skip", now, now, int(c.wakeAt))
+		if c.tickObs != nil {
+			c.tickObs(now, false)
 		}
 		return
 	}
 	c.wakeAt = -1
 	c.wakeChained = false
-	if debugWake != nil {
-		debugWake("fire", now, now, int(now))
+	if c.tickObs != nil {
+		c.tickObs(now, true)
 	}
 
 	moves := c.drainMoves
 	c.syncDrain(now)
 	var preDrain bool
 	var prePhases [16]refPhase
-	if CrossCheckWake {
+	if c.cfg.CrossCheck {
 		preDrain = c.draining
 		for r := range c.refresh {
 			prePhases[r] = c.refresh[r].phase
@@ -633,7 +639,7 @@ func (c *Controller) tick(now event.Cycle) {
 	if !issued && c.cfg.ClosedPage {
 		issued = c.closeIdleRows(now)
 	}
-	if CrossCheckWake {
+	if c.cfg.CrossCheck {
 		flipped := preDrain != c.draining
 		if moves && c.lastExact > now {
 			// The exact wake would have slept through this tick; its drain
@@ -678,19 +684,6 @@ func (c *Controller) tick(now event.Cycle) {
 	c.armAfterTick(now, issued)
 }
 
-// CrossCheckWake is a validation hook for the exact wake discipline:
-// when set, every tick re-arms at the original per-cycle polling
-// cadence and panics if the exact wake computed after the previous tick
-// would have slept past a cycle where this tick issued a command or
-// advanced controller state (a drain flag flip that syncDrain would
-// replay does not count, but must match the replay), if a queue plan
-// reused without a sweep differs from a fresh sweep, if a prefetch fill
-// issues while a demand read of its line is queued, or if the request
-// pool's conservation identity (poolBalanced) fails. TestCrossCheckWake
-// runs full simulations in every refresh mode under it. Not safe to
-// toggle mid-run.
-var CrossCheckWake bool
-
 // nextRefreshDue reports the earliest cycle at which any rank's
 // refresh machine wants attention: the earliest due time, except under
 // out-of-order scheduling where it is the earliest issuable pick or
@@ -720,7 +713,7 @@ func (c *Controller) completeRead(req *request, dataAt event.Cycle) {
 		// read wants this line: fills exist only while their rank is
 		// filling, when no refresh bars its banks, and a read of the
 		// line would be a row hit exactly as ready as the fill.
-		if CrossCheckWake {
+		if c.cfg.CrossCheck {
 			for _, dr := range c.readQ {
 				if dr.loc == req.loc {
 					panic(fmt.Sprintf("fill of %+v issued at %d with a same-line demand read queued", req.loc, c.q.Now()))
@@ -953,15 +946,4 @@ func (c *Controller) rowWanted(rank, bank, row int) bool {
 		}
 	}
 	return false
-}
-
-// SetDebugWake installs the wake test hook (diagnostics).
-func SetDebugWake(fn func(what string, now, at int64, wakeAt int)) {
-	if fn == nil {
-		debugWake = nil
-		return
-	}
-	debugWake = func(what string, now, at event.Cycle, wakeAt int) {
-		fn(what, int64(now), int64(at), wakeAt)
-	}
 }

@@ -19,21 +19,18 @@ import (
 // stream, the metrics snapshot JSON, and the number of ticks that fired.
 func trickleRun(t *testing.T, mode Mode, polled bool) ([]dram.Command, []byte, int) {
 	t.Helper()
-	CrossCheckWake = polled
-	defer func() { CrossCheckWake = false }()
-	c, q := newController(t, mode, nil)
+	c, q := newController(t, mode, func(cfg *Config) { cfg.CrossCheck = polled })
 	reg := stats.NewRegistry()
 	c.RegisterMetrics(reg)
 	c.Device().RegisterMetrics(reg.Sub("dram"))
 	var cmds []dram.Command
 	c.SetCommandObserver(func(cmd dram.Command) { cmds = append(cmds, cmd) })
 	fires := 0
-	SetDebugWake(func(what string, _, _ int64, _ int) {
-		if what == "fire" {
+	c.tickObs = func(_ event.Cycle, fired bool) {
+		if fired {
 			fires++
 		}
-	})
-	defer SetDebugWake(nil)
+	}
 
 	rng := rand.New(rand.NewSource(7))
 	at := event.Cycle(0)

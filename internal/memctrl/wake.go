@@ -92,9 +92,6 @@ func (c *Controller) armChained(at event.Cycle) {
 	if c.wakeAt >= 0 && c.wakeAt <= at {
 		return
 	}
-	if debugWake != nil {
-		debugWake("arm", c.q.Now(), at, int(c.wakeAt))
-	}
 	c.wakeChained = true
 	c.wakeArmedAt = c.q.Now()
 	c.wakeAt = at
@@ -278,7 +275,7 @@ func (c *Controller) plan(ix *bankIndex, from event.Cycle) *queuePlan {
 	p := &ix.plan
 	if p.ver != ix.ver || p.devVer != c.devVer || from < p.from || p.at < from {
 		*p = c.queueWake(ix, from)
-	} else if CrossCheckWake {
+	} else if c.cfg.CrossCheck {
 		if fresh := c.queueWake(ix, from); fresh.at != p.at || fresh.req != p.req || fresh.hit != p.hit {
 			panic(fmt.Sprintf("stale plan from %d (swept from %d): planned %d hit=%v, fresh %d hit=%v, mode=%v write=%v",
 				from, p.from, p.at, p.hit, fresh.at, fresh.hit, c.cfg.Mode, ix.write))

@@ -8,30 +8,26 @@ import (
 	"ropsim/internal/event"
 )
 
-// wakeTrace records the debugWake event stream plus every issued
+// wakeTrace records the controller's tick events plus every issued
 // command, so tests can correlate tick outcomes with wake bookkeeping.
 type wakeTrace struct {
 	events []wakeEvent
 	cmds   []dram.Command
 }
 
+// wakeEvent is one tick event: fired is false for a superseded skip.
 type wakeEvent struct {
-	what   string
-	now    int64
-	wakeAt int
+	now   event.Cycle
+	fired bool
 }
 
-func (tr *wakeTrace) install(c *Controller) func() {
-	SetDebugWake(func(what string, now, at int64, wakeAt int) {
-		tr.events = append(tr.events, wakeEvent{what: what, now: now, wakeAt: wakeAt})
-	})
+func (tr *wakeTrace) install(c *Controller) {
+	c.tickObs = func(now event.Cycle, fired bool) {
+		tr.events = append(tr.events, wakeEvent{now: now, fired: fired})
+	}
 	c.SetCommandObserver(func(cmd dram.Command) {
 		tr.cmds = append(tr.cmds, cmd)
 	})
-	return func() {
-		SetDebugWake(nil)
-		c.SetCommandObserver(nil)
-	}
 }
 
 // TestNoSupersededWakeDoesWork pins the superseded-wake contract from
@@ -43,7 +39,7 @@ func (tr *wakeTrace) install(c *Controller) func() {
 func TestNoSupersededWakeDoesWork(t *testing.T) {
 	c, q := newController(t, ModeBaseline, nil)
 	var tr wakeTrace
-	defer tr.install(c)()
+	tr.install(c)
 
 	// The constructor armed the first refresh due. Enqueue a read well
 	// before it: ensureWake(now) supersedes the refresh-due wake.
@@ -57,29 +53,22 @@ func TestNoSupersededWakeDoesWork(t *testing.T) {
 	}
 	q.RunUntil(due)
 
-	// Every command must have been issued at a cycle where a tick fired
-	// with matching wakeAt; skips must be bracketed by zero commands.
-	fired := make(map[int64]bool)
+	// Every command must have been issued at a cycle where a tick fired;
+	// skips must be bracketed by zero commands.
+	fired := make(map[event.Cycle]bool)
 	skipped := 0
 	for _, ev := range tr.events {
-		switch ev.what {
-		case "fire":
-			if int64(ev.wakeAt) != ev.now {
-				t.Fatalf("tick fired at %d with wakeAt=%d", ev.now, ev.wakeAt)
-			}
+		if ev.fired {
 			fired[ev.now] = true
-		case "skip":
+		} else {
 			skipped++
-			if int64(ev.wakeAt) == ev.now {
-				t.Fatalf("skip at %d although wakeAt matches", ev.now)
-			}
 		}
 	}
 	if skipped == 0 {
 		t.Fatal("scenario produced no superseded wake; the regression is untested")
 	}
 	for _, cmd := range tr.cmds {
-		if !fired[int64(cmd.At)] {
+		if !fired[cmd.At] {
 			t.Fatalf("command %v at %d issued without a matching tick fire", cmd.Kind, cmd.At)
 		}
 	}
@@ -91,7 +80,7 @@ func TestNoSupersededWakeDoesWork(t *testing.T) {
 func TestSupersededWakeSkipIsStateless(t *testing.T) {
 	c, q := newController(t, ModeNoRefresh, nil)
 	var tr wakeTrace
-	defer tr.install(c)()
+	tr.install(c)
 
 	// No refresh in this mode, so the controller is fully idle; arm two
 	// wakes by hand: a far one, then an earlier one that supersedes it.
@@ -99,13 +88,10 @@ func TestSupersededWakeSkipIsStateless(t *testing.T) {
 	c.ensureWake(q.Now() + 10) // wakeAt moves to +10; the +100 event goes stale
 	q.RunUntil(q.Now() + 200)
 
-	var skips, fires int
+	skips := 0
 	for _, ev := range tr.events {
-		switch ev.what {
-		case "skip":
+		if !ev.fired {
 			skips++
-		case "fire":
-			fires++
 		}
 	}
 	if skips != 1 {

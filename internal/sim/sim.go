@@ -319,10 +319,6 @@ func (m *memSystem) Write(line uint64, src int) bool {
 	return true
 }
 
-// DebugHook, when set, observes the controller right after construction
-// (diagnostics only).
-var DebugHook func(*memctrl.Controller)
-
 // Run executes one simulation. It returns an error when the
 // configuration is invalid or the run fails to converge.
 func Run(cfg Config) (*Result, error) {
@@ -333,11 +329,34 @@ func Run(cfg Config) (*Result, error) {
 // ctx is cancelled (polled every watchdogInterval events) and returns
 // ctx's error. Graceful campaign shutdown rides on this.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
-	return run(ctx, cfg)
+	return run(ctx, cfg, seams{})
+}
+
+// RunCrossChecked is RunCtx with memctrl.Config.CrossCheck set on this
+// run's controller only: it ticks at the per-cycle polling cadence and
+// panics where the exact wake would have slept past work. The root
+// package's TestCrossCheckWake* tests drive it; no CLI flag reaches it,
+// because the WL1 mix still trips the polling deviation of DESIGN.md §7
+// item 9.
+func RunCrossChecked(ctx context.Context, cfg Config) (*Result, error) {
+	return run(ctx, cfg, seams{crossCheck: true})
+}
+
+// seams are the test doors into one run. Run and RunCtx pass the zero
+// value, so no production run has any; RunCrossChecked and the tests
+// set them per run, which keeps runs that use them safe to execute in
+// parallel.
+type seams struct {
+	// crossCheck builds the controller with memctrl.Config.CrossCheck.
+	crossCheck bool
+	// stall, when set, runs with the live event queue right before the
+	// event loop starts: the watchdog tests plant a livelocking event
+	// chain through it.
+	stall func(*event.Queue)
 }
 
 // run is the Run body.
-func run(ctx context.Context, cfg Config) (*Result, error) {
+func run(ctx context.Context, cfg Config, sm seams) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -379,14 +398,12 @@ func run(ctx context.Context, cfg Config) (*Result, error) {
 	mcfg.ROP.Gate = cfg.ROPGate
 	mcfg.ROP.StrictTable = cfg.ROPStrictTable
 	mcfg.ROP.Predictor = cfg.ROPPredictor
+	mcfg.CrossCheck = sm.crossCheck
 	ctrl, err := memctrl.New(mcfg, dev, q)
 	if err != nil {
 		return nil, err
 	}
 	ctrl.RegisterMetrics(reg.Sub("memctrl"))
-	if DebugHook != nil {
-		DebugHook(ctrl)
-	}
 
 	// The protocol sanitizer observes every issued command and latches
 	// the first violation; the event loop surfaces it at the watchdog
@@ -466,8 +483,8 @@ func run(ctx context.Context, cfg Config) (*Result, error) {
 		c.Start(func() { remaining-- })
 	}
 
-	if StallHook != nil {
-		StallHook(q)
+	if sm.stall != nil {
+		sm.stall(q)
 	}
 
 	// Run until every core finishes. The event bound is generous (some

@@ -20,11 +20,6 @@ import (
 	"ropsim/internal/memctrl"
 )
 
-// StallHook, when set, runs with the live event queue right before the
-// event loop starts. It is the fault-injection door the watchdog tests
-// use to plant a livelocking event chain; production runs leave it nil.
-var StallHook func(*event.Queue)
-
 // watchdogInterval is how often, in dispatched events, the run loop
 // polls cancellation, the deadline and the livelock detector.
 const watchdogInterval = 1024

@@ -19,25 +19,21 @@ func wdConfig() Config {
 	return cfg
 }
 
-// plantLivelock installs a StallHook that schedules an event chain
-// rescheduling itself at the same cycle forever: the queue never
-// advances past it, no later event fires, and no instruction retires.
-// The returned func removes the hook.
-func plantLivelock(t *testing.T) func() {
-	t.Helper()
-	StallHook = func(q *event.Queue) {
+// livelock returns run seams that plant an event chain rescheduling
+// itself at the same cycle forever: the queue never advances past it,
+// no later event fires, and no instruction retires.
+func livelock() seams {
+	return seams{stall: func(q *event.Queue) {
 		var spin func(now event.Cycle)
 		spin = func(now event.Cycle) { q.Schedule(now, spin) }
 		q.Schedule(0, spin)
-	}
-	return func() { StallHook = nil }
+	}}
 }
 
 func TestFaultWatchdogKillsLivelock(t *testing.T) {
-	defer plantLivelock(t)()
 	cfg := wdConfig()
 	cfg.LivelockEvents = 50_000
-	_, err := Run(cfg)
+	_, err := run(context.Background(), cfg, livelock())
 	var we *WatchdogError
 	if !errors.As(err, &we) {
 		t.Fatalf("livelocked run returned %v, want *WatchdogError", err)
@@ -58,11 +54,10 @@ func TestFaultWatchdogKillsLivelock(t *testing.T) {
 func TestFaultWatchdogWallClockDeadline(t *testing.T) {
 	// A livelocked run with a tiny deadline and the livelock detector
 	// disabled: only the wall-clock check can (and must) stop it.
-	defer plantLivelock(t)()
 	cfg := wdConfig()
 	cfg.LivelockEvents = -1
 	cfg.RunTimeout = time.Millisecond
-	_, err := Run(cfg)
+	_, err := run(context.Background(), cfg, livelock())
 	var we *WatchdogError
 	if !errors.As(err, &we) {
 		t.Fatalf("past-deadline run returned %v, want *WatchdogError", err)
@@ -84,10 +79,9 @@ func TestFaultWatchdogQuietOnHealthyRun(t *testing.T) {
 func TestFaultRunCtxCancelAborts(t *testing.T) {
 	// A cancelled context must abort even a livelocked run (the poll
 	// happens every watchdogInterval events regardless of progress).
-	defer plantLivelock(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunCtx(ctx, wdConfig())
+	_, err := run(ctx, wdConfig(), livelock())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}

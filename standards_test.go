@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ropsim/internal/dram"
-	"ropsim/internal/memctrl"
 )
 
 // standardArtifactOptions is artifactOptions for a non-default DRAM
@@ -88,39 +87,6 @@ func TestStandardsCheckClean(t *testing.T) {
 			cfg.Standard = std.Name()
 			if _, err := Run(cfg); err != nil {
 				t.Errorf("%s/%v: %v", std.Name(), mode, err)
-			}
-		}
-	}
-}
-
-// TestCrossCheckWakeAllStandards extends the exact-wake cross-check to
-// every registered standard: in each refresh mode and page policy the
-// controller's nextWake must never sleep past a productive cycle, on
-// DDR5's grouped same-bank slots and LPDDR4's per-bank round-robin just
-// as on DDR4.
-func TestCrossCheckWakeAllStandards(t *testing.T) {
-	memctrl.CrossCheckWake = true
-	defer func() { memctrl.CrossCheckWake = false }()
-	o := QuickOptions()
-	o.Jobs = 1
-	o.Instructions = 120_000
-	modes := []Mode{
-		ModeBaseline, ModeNoRefresh, ModeROP, ModeElastic, ModePausing,
-		ModeBankRefresh, ModeROPBank, ModeSubarrayRefresh,
-		ModeOutOfOrderBank, ModeDARP, ModeSARP,
-	}
-	if testing.Short() {
-		modes = []Mode{ModeBaseline, ModeBankRefresh, ModeROPBank, ModeDARP, ModeSARP}
-	}
-	for _, std := range DRAMStandards() {
-		for _, mode := range modes {
-			for _, closed := range []bool{false, true} {
-				cfg := o.single("libquantum", mode)
-				cfg.Standard = std
-				cfg.ClosedPage = closed
-				if _, err := Run(cfg); err != nil {
-					t.Fatalf("%s/%v/closed=%v: %v", std, mode, closed, err)
-				}
 			}
 		}
 	}

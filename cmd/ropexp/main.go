@@ -17,9 +17,11 @@
 // run's full metric-registry snapshot (docs/METRICS.md documents the
 // schema); the artifact is likewise byte-identical at any -jobs count.
 //
-// Campaigns are fault-tolerant (docs/ROBUSTNESS.md): -journal
-// checkpoints every completed run, -resume serves checkpointed runs
-// without re-simulating, -check validates every DRAM command against
+// Each distinct run config is simulated once per campaign; repeats
+// are served from the campaign's run store. Campaigns are
+// fault-tolerant (docs/ROBUSTNESS.md): -journal checkpoints every
+// completed run, -resume serves checkpointed runs without
+// re-simulating, -check validates every DRAM command against
 // the JEDEC timing checker, -run-timeout arms a per-run watchdog, and
 // -fail-policy picks fail-fast or run-to-completion on errors. SIGINT
 // or SIGTERM cancels in-flight runs, flushes the partial artifact and
@@ -165,6 +167,10 @@ func main() {
 		}
 	}
 
+	// One run store spans the campaign, so each distinct config is
+	// simulated once however many experiments submit it; -journal backs
+	// it with a sidecar file.
+	o.Journal = &ropsim.Journal{}
 	if *journalF != "" {
 		if !*resumeF {
 			// A fresh (non-resuming) campaign starts from an empty
@@ -276,10 +282,8 @@ func main() {
 		if s := pool.Stats(); s.Completed > 0 {
 			fmt.Fprintf(os.Stderr, "runner: %s\n", s)
 		}
-		if o.Journal != nil {
-			fmt.Fprintf(os.Stderr, "journal: %d checkpointed runs (%d served without re-simulating)\n",
-				o.Journal.Len(), o.Journal.Hits())
-		}
+		fmt.Fprintf(os.Stderr, "journal: %d checkpointed runs (%d served without re-simulating)\n",
+			o.Journal.Len(), o.Journal.Hits())
 		if o.Artifact != nil {
 			if err := o.Artifact.WriteFile(*statsOut); err != nil {
 				fmt.Fprintln(os.Stderr, err)

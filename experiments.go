@@ -75,11 +75,13 @@ type ExpOptions struct {
 	// artifact). Workers record concurrently; the serialized artifact is
 	// sorted by label and therefore independent of Jobs.
 	Artifact *Artifact
-	// Journal, when non-nil, checkpoints every completed run keyed by
-	// its config hash and serves already-journaled runs without
-	// re-simulating (the -resume flag). Capture-bearing and
-	// trace-driven runs are never journaled — they re-run
-	// deterministically on resume.
+	// Journal is the run store every journal-eligible run goes through:
+	// a run whose config hash is already stored (or in flight) is served
+	// instead of simulated again, so each distinct config runs once for
+	// the store's lifetime. cmd/ropexp shares one across the campaign,
+	// file-backed under -journal (and -resume). Nil = each experiment
+	// uses a private in-memory store. Capture-bearing and trace-driven
+	// runs bypass it and always simulate.
 	Journal *Journal
 	// Remote, when non-nil, executes runs through a distributed
 	// campaign coordinator (cmd/ropexp -serve) instead of in-process.
@@ -193,50 +195,50 @@ func (o *ExpOptions) multi(members []string, mode Mode, rankPartition bool) Conf
 }
 
 // runOne executes one simulation, records its metric snapshot in the
-// artifact (when one is attached), checkpoints it in the journal, and
-// logs its completion. Runs already present in the journal are served
-// from it without re-simulating; their artifact snapshots are the
-// journaled ones, which round-trip JSON exactly, so a resumed campaign
-// writes a byte-identical artifact.
+// artifact (when one is attached) and logs its completion. A
+// journal-eligible run goes through the run store, which simulates each
+// distinct config once; a repeat is served from it, with the stored
+// snapshot recorded under this run's label. Stored snapshots
+// round-trip JSON exactly, so a served run writes the same artifact
+// bytes as a simulated one.
 func (o *ExpOptions) runOne(label string, cfg Config) (*Result, error) {
-	remotable := !cfg.Capture && !cfg.CaptureTraces && cfg.Traces == nil && !hasTraceSource(cfg.Benches)
-	journaled := o.Journal != nil && remotable
-	var hash string
-	if journaled {
-		hash = ConfigHash(cfg)
-		if e, ok := o.Journal.Lookup(hash); ok {
-			if o.Artifact != nil {
-				o.Artifact.Record(label, e.Result.Metrics)
-			}
-			o.logf("  %-40s resumed from journal", label)
-			return e.Result, nil
+	eligible := !cfg.Capture && !cfg.CaptureTraces && cfg.Traces == nil && !hasTraceSource(cfg.Benches)
+	run := func() (*Result, error) {
+		if o.Remote != nil && eligible {
+			return o.Remote(o.ctx(), label, cfg)
 		}
+		return RunCtx(o.ctx(), cfg)
 	}
 	var res *Result
+	var served bool
 	var err error
-	if o.Remote != nil && remotable {
-		res, err = o.Remote(o.ctx(), label, cfg)
+	if eligible {
+		res, served, err = o.Journal.do(ConfigHash(cfg), label, run)
 	} else {
-		res, err = RunCtx(o.ctx(), cfg)
+		res, err = run()
 	}
 	if err != nil {
 		return nil, err
 	}
-	if journaled {
-		if err := o.Journal.Record(hash, label, res); err != nil {
-			return nil, err
-		}
-	}
 	if o.Artifact != nil {
 		o.Artifact.Record(label, res.Metrics)
 	}
-	o.logf("  %-40s ipc0=%.4f elapsed=%d", label, res.Cores[0].IPC, res.ElapsedBus)
+	if served {
+		o.logf("  %-40s served from the run store", label)
+	} else {
+		o.logf("  %-40s ipc0=%.4f elapsed=%d", label, res.Cores[0].IPC, res.ElapsedBus)
+	}
 	return res, nil
 }
 
 // task wraps one (label, Config) run for batch submission. The runner
-// wraps any error with the label.
+// wraps any error with the label. An experiment called without a
+// Journal gets a private store with its first task, so its repeats
+// run once.
 func (o *ExpOptions) task(label string, cfg Config) runner.Task[*Result] {
+	if o.Journal == nil {
+		o.Journal = &Journal{}
+	}
 	return runner.Task[*Result]{Label: label, Run: func(context.Context) (*Result, error) {
 		return o.runOne(label, cfg)
 	}}
@@ -389,69 +391,36 @@ func Fig7to9(o ExpOptions) (fig7, fig8, fig9 *Table, err error) {
 	return fig7, fig8, fig9, nil
 }
 
-// aloneKey identifies one memoized alone-IPC run: the benchmark, the
-// LLC size it ran under (0 = the multiprogram default), and the die
-// density (0 = datasheet 8 Gb).
-type aloneKey struct {
-	bench   string
-	llc     int
-	density int
-}
-
-// aloneIPC computes (once per key, concurrency-safe) the alone IPC of
-// bench on the multi-core platform: 4 ranks and the given LLC, at the
-// given die density.
-func (o *ExpOptions) aloneIPC(bench string, llcBytes, density int, memo *runner.Memo[aloneKey, float64]) (float64, error) {
-	return memo.Do(aloneKey{bench, llcBytes, density}, func() (float64, error) {
-		cfg := o.multi([]string{bench}, ModeBaseline, false)
-		cfg.Ranks = 4
-		cfg.DensityGb = density
-		if llcBytes > 0 {
-			cfg.LLCBytes = llcBytes
-		} else {
-			cfg.LLCBytes = Default("a", "b", "c", "d").LLCBytes
-		}
-		label := "alone/" + bench
-		if density != 0 {
-			label = fmt.Sprintf("alone/%s/%dGb", bench, density)
-		}
-		res, err := o.runOne(label, cfg)
-		if err != nil {
-			return 0, err
-		}
-		return res.Cores[0].IPC, nil
-	})
-}
-
-// aloneIPCs resolves the per-member alone IPCs of a mix through the
-// memo (all cache hits when the batch pre-warmed it).
-func (o *ExpOptions) aloneIPCs(members []string, llcBytes, density int, memo *runner.Memo[aloneKey, float64]) ([]float64, error) {
-	out := make([]float64, len(members))
-	for i, b := range members {
-		v, err := o.aloneIPC(b, llcBytes, density, memo)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// aloneTask warms the alone-IPC memo for one (bench, LLC, density) key
-// as part of a batch; the result is read back through the memo, so the
-// task's own *Result slot stays nil.
-func (o *ExpOptions) aloneTask(bench string, llcBytes, density int, memo *runner.Memo[aloneKey, float64]) runner.Task[*Result] {
+// aloneRun is the alone-IPC run behind Eq. 4's weighted speedup: bench
+// by itself on the 4-core platform (4 ranks), with an LLC of llcMiB
+// (0 = the 4-core default) at die density densityGb (0 = datasheet
+// 8 Gb). The label names every axis the config varies, so one label
+// never stands for two configs; repeats across mixes and figures are
+// served by the run store.
+func (o *ExpOptions) aloneRun(bench string, llcMiB, densityGb int) runner.Task[*Result] {
+	cfg := o.multi([]string{bench}, ModeBaseline, false)
+	cfg.Ranks = 4
+	cfg.LLCBytes = Default("a", "b", "c", "d").LLCBytes
+	cfg.DensityGb = densityGb
 	label := "alone/" + bench
-	if llcBytes > 0 {
-		label = fmt.Sprintf("alone/%s/%dMB", bench, llcBytes/cache.MiB)
+	if llcMiB > 0 {
+		cfg.LLCBytes = llcMiB * cache.MiB
+		label += fmt.Sprintf("/%dMB", llcMiB)
 	}
-	if density != 0 {
-		label = fmt.Sprintf("%s/%dGb", label, density)
+	if densityGb != 0 {
+		label += fmt.Sprintf("/%dGb", densityGb)
 	}
-	return runner.Task[*Result]{Label: label, Run: func(context.Context) (*Result, error) {
-		_, err := o.aloneIPC(bench, llcBytes, density, memo)
-		return nil, err
-	}}
+	return o.task(label, cfg)
+}
+
+// firstCoreIPCs returns core 0's IPC of each result: the alone IPCs of
+// a mix from its aloneRun results.
+func firstCoreIPCs(results []*Result) []float64 {
+	out := make([]float64, len(results))
+	for i, r := range results {
+		out[i] = r.Cores[0].IPC
+	}
+	return out
 }
 
 // Fig10and11 regenerates Figures 10-11: 4-core normalized weighted
@@ -463,19 +432,11 @@ func Fig10and11(o ExpOptions) (fig10, fig11 *Table, err error) {
 		Header: []string{"mix", "Baseline", "Baseline-RP", "ROP"}}
 
 	mixes := o.mixes()
-	memo := &runner.Memo[aloneKey, float64]{}
 	var tasks []runner.Task[*Result]
-	seen := map[string]bool{}
 	for _, m := range mixes {
 		for _, b := range m.Members {
-			if !seen[b] {
-				seen[b] = true
-				tasks = append(tasks, o.aloneTask(b, 0, 0, memo))
-			}
+			tasks = append(tasks, o.aloneRun(b, 0, 0))
 		}
-	}
-	sysBase := len(tasks)
-	for _, m := range mixes {
 		tasks = append(tasks,
 			o.task("multi/"+m.Name+"/base", o.multi(m.Members, ModeBaseline, false)),
 			o.task("multi/"+m.Name+"/base-rp", o.multi(m.Members, ModeBaseline, true)),
@@ -487,12 +448,12 @@ func Fig10and11(o ExpOptions) (fig10, fig11 *Table, err error) {
 	}
 
 	var ratios []float64
-	for i, m := range mixes {
-		alone, err := o.aloneIPCs(m.Members, 0, 0, memo)
-		if err != nil {
-			return nil, nil, err
-		}
-		base, baseRP, rop := results[sysBase+3*i], results[sysBase+3*i+1], results[sysBase+3*i+2]
+	idx := 0
+	for _, m := range mixes {
+		alone := firstCoreIPCs(results[idx : idx+len(m.Members)])
+		idx += len(m.Members)
+		base, baseRP, rop := results[idx], results[idx+1], results[idx+2]
+		idx += 3
 		wsB := WeightedSpeedup(base, alone)
 		wsRP := WeightedSpeedup(baseRP, alone)
 		wsR := WeightedSpeedup(rop, alone)
@@ -519,24 +480,12 @@ func Fig12to14(o ExpOptions) (fig12, fig13, fig14 *Table, err error) {
 	fig14 = &Table{ID: "fig14", Title: "SRAM hit rate by LLC size", Header: header}
 
 	mixes := o.mixes()
-	memo := &runner.Memo[aloneKey, float64]{}
 	var tasks []runner.Task[*Result]
-	seen := map[aloneKey]bool{}
-	for _, mb := range o.LLCSizesMiB {
-		llc := mb * cache.MiB
-		for _, m := range mixes {
-			for _, b := range m.Members {
-				key := aloneKey{bench: b, llc: llc}
-				if !seen[key] {
-					seen[key] = true
-					tasks = append(tasks, o.aloneTask(b, llc, 0, memo))
-				}
-			}
-		}
-	}
-	sysBase := len(tasks)
 	for _, m := range mixes {
 		for _, mb := range o.LLCSizesMiB {
+			for _, b := range m.Members {
+				tasks = append(tasks, o.aloneRun(b, mb, 0))
+			}
 			llc := mb * cache.MiB
 			cfgB := o.multi(m.Members, ModeBaseline, false)
 			cfgB.LLCBytes = llc
@@ -552,17 +501,14 @@ func Fig12to14(o ExpOptions) (fig12, fig13, fig14 *Table, err error) {
 		return nil, nil, nil, err
 	}
 
-	idx := sysBase
+	idx := 0
 	for _, m := range mixes {
 		wsRow := []any{m.Name}
 		enRow := []any{m.Name}
 		hitRow := []any{m.Name}
-		for _, mb := range o.LLCSizesMiB {
-			llc := mb * cache.MiB
-			alone, err := o.aloneIPCs(m.Members, llc, 0, memo)
-			if err != nil {
-				return nil, nil, nil, err
-			}
+		for range o.LLCSizesMiB {
+			alone := firstCoreIPCs(results[idx : idx+len(m.Members)])
+			idx += len(m.Members)
 			base, rop := results[idx], results[idx+1]
 			idx += 2
 			wsRow = append(wsRow, WeightedSpeedup(rop, alone)/WeightedSpeedup(base, alone))
@@ -857,23 +803,12 @@ func Policies(o ExpOptions) (*Table, error) {
 		densities = dram.Densities()
 	}
 	mixes := o.mixes()
-	memo := &runner.Memo[aloneKey, float64]{}
 	var tasks []runner.Task[*Result]
-	seen := map[aloneKey]bool{}
 	for _, gb := range densities {
 		for _, m := range mixes {
 			for _, b := range m.Members {
-				key := aloneKey{bench: b, density: gb}
-				if !seen[key] {
-					seen[key] = true
-					tasks = append(tasks, o.aloneTask(b, 0, gb, memo))
-				}
+				tasks = append(tasks, o.aloneRun(b, 0, gb))
 			}
-		}
-	}
-	sysBase := len(tasks)
-	for _, gb := range densities {
-		for _, m := range mixes {
 			for _, mode := range modes {
 				cfg := o.multi(m.Members, mode, false)
 				cfg.DensityGb = gb
@@ -885,14 +820,12 @@ func Policies(o ExpOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := sysBase
+	idx := 0
 	for _, gb := range densities {
 		norm := make([][]float64, len(modes))
 		for _, m := range mixes {
-			alone, err := o.aloneIPCs(m.Members, 0, gb, memo)
-			if err != nil {
-				return nil, err
-			}
+			alone := firstCoreIPCs(results[idx : idx+len(m.Members)])
+			idx += len(m.Members)
 			rb := results[idx]
 			wsBase := WeightedSpeedup(rb, alone)
 			row := []any{gb, m.Name}

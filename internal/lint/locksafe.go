@@ -25,7 +25,7 @@ import (
 //
 // The tracking is statement-ordered and per-function, with branch
 // bodies analyzed under a cloned lock set and rejoined by
-// intersection: a lock released on every branch (the Memo.Do
+// intersection: a lock released on every branch (the singleflight
 // early-unlock idiom) is released afterward, a lock only conditionally
 // released stays held for rule 2's purposes on the fall-through path.
 // Calls through function values are invisible to the fact engine and

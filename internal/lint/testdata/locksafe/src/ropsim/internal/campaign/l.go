@@ -74,7 +74,7 @@ func (s *state) goodDefer(v int) int {
 }
 
 // goodEarlyUnlock releases on every branch before the blocking
-// operation — the Memo.Do idiom.
+// operation — the singleflight idiom.
 func (s *state) goodEarlyUnlock(ch chan int, compute bool) int {
 	s.mu.Lock()
 	if compute {

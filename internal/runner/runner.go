@@ -26,7 +26,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ropsim/internal/stats"
@@ -288,11 +287,12 @@ func (p *Pool) record(label string, d time.Duration, err error) {
 // run never takes down the process. What happens after a failure is
 // the pool's Policy:
 //
-//   - FailFast (default): the batch cancels — queued tasks are skipped,
-//     in-flight tasks finish — and the returned *BatchError carries the
-//     earliest submission index's failure (so serial and parallel
-//     executions report the same one) plus the skipped-task count and
-//     pool statistics.
+//   - FailFast (default): tasks after the failed one are skipped (their
+//     in-flight contexts are cancelled), while every task before it
+//     still runs; the returned *BatchError carries the earliest
+//     submission index's failure (so serial and parallel executions
+//     report the same one) plus the skipped-task count and pool
+//     statistics.
 //   - RunToCompletion: every remaining task still runs; the returned
 //     *BatchError lists all failures, and the results slice holds every
 //     successful task's result (failed slots keep their zero value).
@@ -315,32 +315,67 @@ func Run[R any](ctx context.Context, p *Pool, tasks []Task[R]) ([]R, error) {
 	}
 	policy, retryMax, retryBackoff, faultHook := p.runConfig()
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// halt stops admission: on parent cancellation, or on the first
+	// FailFast failure.
+	feed, halt := context.WithCancel(ctx)
+	defer halt()
 
 	var (
-		errMu    sync.Mutex
+		mu       sync.Mutex
 		failures []TaskError
-		started  int64
+		lowest   = len(tasks)                   // lowest failed index (FailFast)
+		running  = map[int]context.CancelFunc{} // in-flight tasks' contexts
+		started  int
 	)
-	fail := func(i int, label string, err error) {
-		errMu.Lock()
-		failures = append(failures, TaskError{Index: i, Label: label, Err: err})
-		errMu.Unlock()
-		if policy == FailFast {
-			cancel()
+	// begin starts task i under its own context, or reports that it is
+	// skipped. FailFast skips only the tasks after the lowest failed
+	// index: every task before it still runs, so the earliest failure is
+	// the one a serial execution would hit.
+	begin := func(i int) (context.Context, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if ctx.Err() != nil || i > lowest {
+			return nil, false
 		}
+		tctx, cancel := context.WithCancel(ctx)
+		running[i] = cancel
+		started++
+		return tctx, true
+	}
+	end := func(i int) {
+		mu.Lock()
+		running[i]()
+		delete(running, i)
+		mu.Unlock()
+	}
+	// fail records a failure; under FailFast it also cancels the
+	// in-flight tasks after index i and stops admission.
+	fail := func(i int, label string, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		failures = append(failures, TaskError{Index: i, Label: label, Err: err})
+		if policy != FailFast || i >= lowest {
+			return
+		}
+		lowest = i
+		for j, cancel := range running {
+			if j > i {
+				cancel()
+			}
+		}
+		halt()
 	}
 
 	// Feeder: bounded queue sized to the worker count provides
-	// backpressure; cancellation stops admission of queued work.
+	// backpressure; halting stops admission of queued work. Indices go
+	// out in order, so every task before a failed one was already sent.
 	queue := make(chan int, jobs)
 	go func() {
 		defer close(queue)
 		for i := range tasks {
 			select {
 			case queue <- i:
-			case <-ctx.Done():
+			case <-feed.Done():
 				return
 			}
 		}
@@ -352,23 +387,23 @@ func Run[R any](ctx context.Context, p *Pool, tasks []Task[R]) ([]R, error) {
 		go func() {
 			defer wg.Done()
 			for i := range queue {
-				if ctx.Err() != nil {
-					return
+				tctx, ok := begin(i)
+				if !ok {
+					continue
 				}
 				t := tasks[i]
 				p.admit()
-				atomic.AddInt64(&started, 1)
 				start := time.Now()
-				res, err := attempt(ctx, p, t, retryMax, retryBackoff, faultHook)
+				res, err := attempt(tctx, p, t, retryMax, retryBackoff, faultHook)
 				p.record(t.Label, time.Since(start), err)
+				// A task aborted by a cancellation (the parent's, or an
+				// earlier task's failure) is not a failure: the cause is
+				// reported once, at the end.
+				cancelled := tctx.Err() != nil && isCancellation(err)
+				end(i)
 				if err != nil {
-					// A task aborted by the batch's own cancellation is not
-					// a failure: the cause is reported once, at the end.
-					if !(ctx.Err() != nil && isCancellation(err)) {
+					if !cancelled {
 						fail(i, t.Label, fmt.Errorf("%s: %w", t.Label, err))
-					}
-					if policy == FailFast {
-						return
 					}
 					continue
 				}
@@ -378,7 +413,7 @@ func Run[R any](ctx context.Context, p *Pool, tasks []Task[R]) ([]R, error) {
 	}
 	wg.Wait()
 
-	skipped := len(tasks) - int(atomic.LoadInt64(&started))
+	skipped := len(tasks) - started
 	if err := p.batchErr(failures, skipped); err != nil {
 		if policy == RunToCompletion {
 			// Partial results survive alongside the failure summary.
@@ -387,8 +422,6 @@ func Run[R any](ctx context.Context, p *Pool, tasks []Task[R]) ([]R, error) {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		// Parent cancellation (our own deferred cancel has not run yet,
-		// and the internal cancel only fires on a task failure).
 		return nil, err
 	}
 	return results, nil

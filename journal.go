@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"ropsim/internal/stats"
 )
@@ -33,18 +35,27 @@ type JournalEntry struct {
 	Result *Result `json:"result"`
 }
 
-// Journal is the campaign checkpoint: every completed simulation is
-// appended as one JSON line to a sidecar file, keyed by its config
-// hash. Reopening the same path loads the completed set, and -resume
-// campaigns serve those runs from the journal instead of re-simulating.
-// Record is safe for concurrent use by parallel runner workers; each
-// entry is flushed to the OS before Record returns, so a killed
-// campaign keeps everything that finished.
+// Journal is the campaign's run store: every completed, journal-eligible
+// simulation is kept under its config hash, and a run whose hash is
+// already stored is served instead of simulated again. The zero value is
+// an in-memory store. OpenJournal adds a sidecar file: each entry is
+// also appended to it as one JSON line and flushed to the OS before the
+// run is reported, so a killed campaign keeps everything that finished,
+// and reopening the same path (-resume) serves those runs again. A
+// Journal is safe for concurrent use by parallel runner workers.
 type Journal struct {
-	mu      sync.Mutex
-	f       *os.File
-	entries map[string]*JournalEntry
-	hits    int64
+	mu       sync.Mutex
+	f        *os.File
+	entries  map[string]*JournalEntry
+	inflight map[string]*flight
+	hits     atomic.Int64
+}
+
+// flight is one run in progress; waiters on its hash block on done.
+type flight struct {
+	done chan struct{}
+	res  *Result
+	err  error
 }
 
 // OpenJournal opens (creating if needed) the journal sidecar at path
@@ -93,13 +104,10 @@ func (j *Journal) Len() int {
 	return len(j.entries)
 }
 
-// Hits reports how many lookups were served from the journal (the
-// resumed-run count of a campaign).
-func (j *Journal) Hits() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.hits
-}
+// Hits reports how many runs were served from the store instead of
+// simulated (repeats within the campaign plus, under -resume, runs
+// loaded from the sidecar).
+func (j *Journal) Hits() int64 { return j.hits.Load() }
 
 // Lookup returns the checkpointed entry for a config hash. The entry
 // is shared; callers must treat the result as read-only.
@@ -108,15 +116,16 @@ func (j *Journal) Lookup(hash string) (*JournalEntry, bool) {
 	defer j.mu.Unlock()
 	e, ok := j.entries[hash]
 	if ok {
-		j.hits++
+		j.hits.Add(1)
 	}
 	return e, ok
 }
 
-// Record checkpoints one completed run under its config hash, appending
-// the entry to the sidecar and flushing it before returning. Recording
-// a hash that is already journaled is a no-op (identical configs are
-// deterministic, so the existing entry is equally valid).
+// Record stores one completed run under its config hash, appending the
+// entry to the sidecar (when one is open) and flushing it before
+// returning. Recording a hash that is already stored is a no-op
+// (identical configs are deterministic, so the existing entry is
+// equally valid).
 func (j *Journal) Record(hash, label string, res *Result) error {
 	if res.Capture != nil {
 		return fmt.Errorf("journal: refusing to checkpoint capture-bearing run %q", label)
@@ -127,19 +136,69 @@ func (j *Journal) Record(hash, label string, res *Result) error {
 		return nil
 	}
 	e := &JournalEntry{Schema: journalSchema, Hash: hash, Label: label, Result: res}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+	if j.f != nil {
+		line, err := json.Marshal(e)
+		if err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
+		if _, err := j.f.Write(append(line, '\n')); err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
+		if err := j.f.Sync(); err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
 	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: %w", err)
+	if j.entries == nil {
+		j.entries = map[string]*JournalEntry{}
 	}
 	j.entries[hash] = e
 	return nil
 }
+
+// do returns the stored result for hash, or runs it and stores the
+// result under label. Concurrent calls for one hash share a single run
+// (singleflight): the first caller runs it on its own goroutine while
+// the others wait. A failed run is not stored: its waiters get the
+// error, and a later call runs it again. served reports that the result
+// came from the store (or another caller's run) rather than this call.
+func (j *Journal) do(hash, label string, run func() (*Result, error)) (res *Result, served bool, err error) {
+	j.mu.Lock()
+	if e, ok := j.entries[hash]; ok {
+		j.mu.Unlock()
+		j.hits.Add(1)
+		return e.Result, true, nil
+	}
+	if f, ok := j.inflight[hash]; ok {
+		j.mu.Unlock()
+		<-f.done
+		if f.err == nil {
+			j.hits.Add(1)
+		}
+		return f.res, f.err == nil, f.err
+	}
+	// A panicking run leaves errRunPanicked for its waiters; the panic
+	// itself reaches the runner, which reports it for this caller.
+	f := &flight{done: make(chan struct{}), err: errRunPanicked}
+	if j.inflight == nil {
+		j.inflight = map[string]*flight{}
+	}
+	j.inflight[hash] = f
+	j.mu.Unlock()
+	defer func() {
+		j.mu.Lock()
+		delete(j.inflight, hash)
+		j.mu.Unlock()
+		close(f.done)
+	}()
+
+	if f.res, f.err = run(); f.err == nil {
+		f.err = j.Record(hash, label, f.res)
+	}
+	return f.res, false, f.err
+}
+
+// errRunPanicked is what waiters on a run get when that run panicked.
+var errRunPanicked = errors.New("journal: the shared run of this config panicked")
 
 // Close flushes and closes the sidecar file.
 func (j *Journal) Close() error {

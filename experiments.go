@@ -11,6 +11,7 @@ import (
 	"ropsim/internal/cache"
 	"ropsim/internal/dram"
 	"ropsim/internal/runner"
+	"ropsim/internal/sim"
 	"ropsim/internal/stats"
 	"ropsim/internal/trace"
 )
@@ -201,13 +202,13 @@ func (o *ExpOptions) multi(members []string, mode Mode, rankPartition bool) Conf
 // snapshot recorded under this run's label. Stored snapshots
 // round-trip JSON exactly, so a served run writes the same artifact
 // bytes as a simulated one.
-func (o *ExpOptions) runOne(label string, cfg Config) (*Result, error) {
+func (o *ExpOptions) runOne(a *sim.Arena, label string, cfg Config) (*Result, error) {
 	eligible := !cfg.Capture && !cfg.CaptureTraces && cfg.Traces == nil && !hasTraceSource(cfg.Benches)
 	run := func() (*Result, error) {
 		if o.Remote != nil && eligible {
 			return o.Remote(o.ctx(), label, cfg)
 		}
-		return RunCtx(o.ctx(), cfg)
+		return a.Run(o.ctx(), cfg)
 	}
 	var res *Result
 	var served bool
@@ -231,23 +232,29 @@ func (o *ExpOptions) runOne(label string, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// simTask is one run of a batch, executed on its worker's arena.
+type simTask = runner.StateTask[*sim.Arena, *Result]
+
 // task wraps one (label, Config) run for batch submission. The runner
 // wraps any error with the label. An experiment called without a
 // Journal gets a private store with its first task, so its repeats
 // run once.
-func (o *ExpOptions) task(label string, cfg Config) runner.Task[*Result] {
+func (o *ExpOptions) task(label string, cfg Config) simTask {
 	if o.Journal == nil {
 		o.Journal = &Journal{}
 	}
-	return runner.Task[*Result]{Label: label, Run: func(context.Context) (*Result, error) {
-		return o.runOne(label, cfg)
+	return simTask{Label: label, Run: func(_ context.Context, a *sim.Arena) (*Result, error) {
+		return o.runOne(a, label, cfg)
 	}}
 }
 
 // runBatch fans the tasks across the experiment's pool and returns the
-// results in submission order.
-func (o *ExpOptions) runBatch(tasks []runner.Task[*Result]) ([]*Result, error) {
-	return runner.Run(o.ctx(), o.pool(), tasks)
+// results in submission order. Each worker of the batch simulates on
+// its own arena, which lives as long as the worker, so consecutive runs
+// of one worker reuse the event queue, LLC and generator storage while
+// nothing is held once the batch ends.
+func (o *ExpOptions) runBatch(tasks []simTask) ([]*Result, error) {
+	return runner.RunWith(o.ctx(), o.pool(), func() *sim.Arena { return new(sim.Arena) }, tasks)
 }
 
 // Fig1 regenerates Figure 1: baseline vs idealized no-refresh IPC and
@@ -256,7 +263,7 @@ func Fig1(o ExpOptions) (*Table, error) {
 	t := &Table{ID: "fig1", Title: "Refresh overhead: baseline vs no-refresh (per benchmark)",
 		Header: []string{"bench", "ipc_base", "ipc_noref", "perf_degradation_%", "energy_base_J", "energy_noref_J", "extra_energy_%"}}
 	benches := o.benches()
-	tasks := make([]runner.Task[*Result], 0, 2*len(benches))
+	tasks := make([]simTask, 0, 2*len(benches))
 	for _, b := range benches {
 		tasks = append(tasks,
 			o.task("fig1/"+b+"/base", o.single(b, ModeBaseline)),
@@ -296,7 +303,7 @@ func RefreshBehaviour(o ExpOptions) (fig2, fig3, fig4, tab1 *Table, err error) {
 
 	benches := o.benches()
 	ranks := make([]int, len(benches))
-	tasks := make([]runner.Task[*Result], 0, len(benches))
+	tasks := make([]simTask, 0, len(benches))
 	for i, b := range benches {
 		cfg := o.single(b, ModeBaseline)
 		cfg.Capture = true
@@ -355,7 +362,7 @@ func Fig7to9(o ExpOptions) (fig7, fig8, fig9 *Table, err error) {
 
 	benches := o.benches()
 	stride := 2 + len(sizes) // base, noref, then one ROP run per size
-	tasks := make([]runner.Task[*Result], 0, stride*len(benches))
+	tasks := make([]simTask, 0, stride*len(benches))
 	for _, b := range benches {
 		tasks = append(tasks,
 			o.task("fig7/"+b+"/base", o.single(b, ModeBaseline)),
@@ -397,7 +404,7 @@ func Fig7to9(o ExpOptions) (fig7, fig8, fig9 *Table, err error) {
 // 8 Gb). The label names every axis the config varies, so one label
 // never stands for two configs; repeats across mixes and figures are
 // served by the run store.
-func (o *ExpOptions) aloneRun(bench string, llcMiB, densityGb int) runner.Task[*Result] {
+func (o *ExpOptions) aloneRun(bench string, llcMiB, densityGb int) simTask {
 	cfg := o.multi([]string{bench}, ModeBaseline, false)
 	cfg.Ranks = 4
 	cfg.LLCBytes = Default("a", "b", "c", "d").LLCBytes
@@ -432,7 +439,7 @@ func Fig10and11(o ExpOptions) (fig10, fig11 *Table, err error) {
 		Header: []string{"mix", "Baseline", "Baseline-RP", "ROP"}}
 
 	mixes := o.mixes()
-	var tasks []runner.Task[*Result]
+	var tasks []simTask
 	for _, m := range mixes {
 		for _, b := range m.Members {
 			tasks = append(tasks, o.aloneRun(b, 0, 0))
@@ -480,7 +487,7 @@ func Fig12to14(o ExpOptions) (fig12, fig13, fig14 *Table, err error) {
 	fig14 = &Table{ID: "fig14", Title: "SRAM hit rate by LLC size", Header: header}
 
 	mixes := o.mixes()
-	var tasks []runner.Task[*Result]
+	var tasks []simTask
 	for _, m := range mixes {
 		for _, mb := range o.LLCSizesMiB {
 			for _, b := range m.Members {
@@ -530,7 +537,7 @@ func AblationGate(o ExpOptions) (*Table, error) {
 	benches := o.benches()
 	gates := []GatePolicy{GateProbabilistic, GateAlways, GateNever}
 	stride := 1 + len(gates)
-	tasks := make([]runner.Task[*Result], 0, stride*len(benches))
+	tasks := make([]simTask, 0, stride*len(benches))
 	for _, b := range benches {
 		tasks = append(tasks, o.task("abl-gate/"+b+"/base", o.single(b, ModeBaseline)))
 		for _, gate := range gates {
@@ -566,7 +573,7 @@ func AblationPredictor(o ExpOptions) (*Table, error) {
 	}{{false, PredictorTable}, {true, PredictorTable}, {false, PredictorVLDP}}
 	benches := o.benches()
 	stride := 1 + len(variants)
-	tasks := make([]runner.Task[*Result], 0, stride*len(benches))
+	tasks := make([]simTask, 0, stride*len(benches))
 	for _, b := range benches {
 		tasks = append(tasks, o.task("abl-pred/"+b+"/base", o.single(b, ModeBaseline)))
 		for _, v := range variants {
@@ -601,7 +608,7 @@ func PolicyComparison(o ExpOptions) (*Table, error) {
 	modes := []Mode{ModeElastic, ModePausing, ModeROP, ModeNoRefresh}
 	benches := o.benches()
 	stride := 1 + len(modes)
-	tasks := make([]runner.Task[*Result], 0, stride*len(benches))
+	tasks := make([]simTask, 0, stride*len(benches))
 	for _, b := range benches {
 		tasks = append(tasks, o.task("policy/"+b+"/base", o.single(b, ModeBaseline)))
 		for _, mode := range modes {
@@ -637,7 +644,7 @@ func AblationFGR(o ExpOptions) (*Table, error) {
 	}
 	fgrModes := []RefreshMode{Refresh1x, Refresh2x, Refresh4x}
 	stride := 3 * len(fgrModes) // noref, base, rop per FGR mode
-	tasks := make([]runner.Task[*Result], 0, stride*len(benches))
+	tasks := make([]simTask, 0, stride*len(benches))
 	for _, b := range benches {
 		for _, mode := range fgrModes {
 			cfgN := o.single(b, ModeNoRefresh)
@@ -681,7 +688,7 @@ func FutureBankRefresh(o ExpOptions) (*Table, error) {
 	}
 	modes := []Mode{ModeBankRefresh, ModeROPBank, ModeSubarrayRefresh, ModeNoRefresh}
 	stride := 1 + len(modes)
-	tasks := make([]runner.Task[*Result], 0, stride*len(benches))
+	tasks := make([]simTask, 0, stride*len(benches))
 	for _, b := range benches {
 		tasks = append(tasks, o.task("future-bank/"+b+"/base", o.single(b, ModeBaseline)))
 		for _, mode := range modes {
@@ -723,7 +730,7 @@ func CrossStandard(o ExpOptions) (*Table, error) {
 	}
 	standards := dram.Standards()
 	stride := 3 // base, rop, noref
-	tasks := make([]runner.Task[*Result], 0, stride*len(standards)*len(benches))
+	tasks := make([]simTask, 0, stride*len(standards)*len(benches))
 	for _, std := range standards {
 		// The native refresh policy pair: all-bank standards refresh whole
 		// ranks; per-bank and same-bank standards refresh at bank
@@ -803,7 +810,7 @@ func Policies(o ExpOptions) (*Table, error) {
 		densities = dram.Densities()
 	}
 	mixes := o.mixes()
-	var tasks []runner.Task[*Result]
+	var tasks []simTask
 	for _, gb := range densities {
 		for _, m := range mixes {
 			for _, b := range m.Members {
@@ -868,7 +875,7 @@ func AblationPagePolicy(o ExpOptions) (*Table, error) {
 		benches = []string{"libquantum", "lbm", "gcc", "bzip2"}
 	}
 	stride := 4 // open_base, closed_base, open_rop, closed_rop
-	tasks := make([]runner.Task[*Result], 0, stride*len(benches))
+	tasks := make([]simTask, 0, stride*len(benches))
 	for _, b := range benches {
 		for _, mode := range []Mode{ModeBaseline, ModeROP} {
 			for _, closed := range []bool{false, true} {

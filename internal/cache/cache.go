@@ -60,12 +60,13 @@ type way struct {
 }
 
 // Cache is a set-associative LRU cache keyed by cache-line index (not
-// byte address). Each set keeps its ways in LRU order: index 0 is the
-// most recently used.
+// byte address). Set s occupies ways[s*assoc : (s+1)*assoc] and keeps
+// its ways in LRU order: index 0 is the most recently used.
 type Cache struct {
-	cfg  Config
-	sets [][]way
-	mask uint64
+	cfg   Config
+	ways  []way
+	assoc int
+	mask  uint64
 
 	// Hits/Misses/Writebacks feed the experiment reports.
 	Hits, Misses, Writebacks stats.Counter
@@ -75,16 +76,32 @@ type Cache struct {
 // validation error (a bad CLI flag surfaces as a clean one-line error,
 // not a stack trace).
 func New(cfg Config) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
+	c := &Cache{}
+	if err := c.Reset(cfg); err != nil {
 		return nil, err
 	}
-	numSets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
-	sets := make([][]way, numSets)
-	backing := make([]way, numSets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
+	return c, nil
+}
+
+// Reset turns c into an empty cache of configuration cfg, as New(cfg)
+// would build, with its counters at zero. It reuses c's way storage
+// when that is large enough, clearing it in place, and allocates new
+// storage otherwise. On an invalid cfg it returns the validation error
+// and leaves c unchanged.
+func (c *Cache) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	return &Cache{cfg: cfg, sets: sets, mask: uint64(numSets - 1)}, nil
+	lines := cfg.SizeBytes / cfg.LineBytes
+	ways := c.ways[:cap(c.ways)]
+	if len(ways) < lines {
+		ways = make([]way, lines)
+	} else {
+		ways = ways[:lines]
+		clear(ways)
+	}
+	*c = Cache{cfg: cfg, ways: ways, assoc: cfg.Ways, mask: uint64(lines/cfg.Ways - 1)}
+	return nil
 }
 
 // MustNew is New for statically known-good configurations (tests,
@@ -116,7 +133,13 @@ func (c *Cache) RegisterMetrics(r *stats.Registry) {
 func (c *Cache) Config() Config { return c.cfg }
 
 // NumSets reports the number of sets.
-func (c *Cache) NumSets() int { return len(c.sets) }
+func (c *Cache) NumSets() int { return len(c.ways) / c.assoc }
+
+// set returns the ways of the set that line maps to.
+func (c *Cache) set(line uint64) []way {
+	i := int(line&c.mask) * c.assoc
+	return c.ways[i : i+c.assoc : i+c.assoc]
+}
 
 // Result describes the outcome of one access.
 type Result struct {
@@ -134,7 +157,7 @@ type Result struct {
 // dirty on write. The returned Result reports whether a dirty victim
 // needs writing back.
 func (c *Cache) Access(line uint64, write bool) Result {
-	set := c.sets[line&c.mask]
+	set := c.set(line)
 	for i := range set {
 		if set[i].valid && set[i].line == line {
 			w := set[i]
@@ -159,7 +182,7 @@ func (c *Cache) Access(line uint64, write bool) Result {
 // Contains reports whether line is cached, without touching LRU state or
 // counters (a test/inspection helper).
 func (c *Cache) Contains(line uint64) bool {
-	set := c.sets[line&c.mask]
+	set := c.set(line)
 	for i := range set {
 		if set[i].valid && set[i].line == line {
 			return true

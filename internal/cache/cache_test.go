@@ -206,3 +206,41 @@ func TestLargerCacheNeverWorse(t *testing.T) {
 		t.Errorf("bigger cache hit less: %d < %d", big.Hits.Value(), small.Hits.Value())
 	}
 }
+
+// TestResetMatchesNew runs one cache through a sequence of sizes,
+// smaller and larger than its storage, and requires every reset cache
+// to behave exactly like a fresh New of the same configuration: the
+// same result for every access and the same counters. Shrinking must
+// keep the storage, growing must replace it.
+func TestResetMatchesNew(t *testing.T) {
+	reused := MustNew(DefaultConfig(8 * MiB))
+	rng := rand.New(rand.NewSource(5))
+	for _, size := range []int{8 * MiB, MiB, 64 << 10, 4 * MiB, 16 * MiB} {
+		before := &reused.ways[:1][0]
+		if err := reused.Reset(DefaultConfig(size)); err != nil {
+			t.Fatal(err)
+		}
+		if kept := &reused.ways[:1][0] == before; kept != (size <= 8*MiB) {
+			t.Errorf("%d B: storage kept = %v", size, kept)
+		}
+		fresh := MustNew(DefaultConfig(size))
+		if reused.NumSets() != fresh.NumSets() {
+			t.Fatalf("%d B: %d sets after Reset, New has %d", size, reused.NumSets(), fresh.NumSets())
+		}
+		for i := 0; i < 200000; i++ {
+			line, write := uint64(rng.Intn(1<<18)), rng.Intn(4) == 0
+			if got, want := reused.Access(line, write), fresh.Access(line, write); got != want {
+				t.Fatalf("%d B, access %d: reset cache %+v, fresh %+v", size, i, got, want)
+			}
+		}
+		if reused.Hits != fresh.Hits || reused.Misses != fresh.Misses || reused.Writebacks != fresh.Writebacks {
+			t.Fatalf("%d B: counters diverged", size)
+		}
+	}
+	if err := reused.Reset(Config{SizeBytes: 3}); err == nil {
+		t.Fatal("Reset accepted an invalid config")
+	}
+	if reused.Config() != DefaultConfig(16*MiB) {
+		t.Fatal("a rejected Reset changed the cache")
+	}
+}

@@ -76,7 +76,7 @@ func (h *heapOracle) step() int {
 // operation stream and compares their dispatch orders event by event.
 type mirror struct {
 	t      *testing.T
-	q      Queue
+	q      *Queue
 	o      heapOracle
 	nextID int
 	fired  []int // ids dispatched by the optimized queue
@@ -147,8 +147,14 @@ func (m *mirror) drain(n int) {
 // (overflow heap, tREFI-scale), plus same-cycle ties and
 // callback-scheduled children.
 func runMirror(t *testing.T, seed int64, ops int) {
+	runMirrorOn(t, new(Queue), seed, ops)
+}
+
+// runMirrorOn is runMirror on a given queue, which must be empty and
+// at cycle 0 (fresh or Reset).
+func runMirrorOn(t *testing.T, q *Queue, seed int64, ops int) {
 	rng := rand.New(rand.NewSource(seed))
-	m := &mirror{t: t}
+	m := &mirror{t: t, q: q}
 	offset := func() Cycle {
 		switch rng.Intn(4) {
 		case 0:
@@ -205,6 +211,63 @@ func TestQueueMatchesHeapOracleLong(t *testing.T) {
 	}
 }
 
+// TestResetQueueMatchesHeapOracle reuses one queue across scenarios.
+// Each time, it abandons the queue with near, far, cancelled and
+// chained events pending, resets it, and requires the next scenario to
+// dispatch exactly like the heap oracle, as on a fresh queue. No
+// callback from before a reset may run after it.
+func TestResetQueueMatchesHeapOracle(t *testing.T) {
+	q := new(Queue)
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		reset := false
+		stale := func(Cycle) {
+			if reset {
+				t.Fatal("a callback scheduled before Reset ran after it")
+			}
+		}
+		for i := 0; i < 200; i++ {
+			h := q.Schedule(q.Now()+Cycle(rng.Intn(3*bucketWindow)), stale)
+			switch rng.Intn(4) {
+			case 0:
+				q.Cancel(h)
+			case 1:
+				q.Step()
+			}
+		}
+		q.ScheduleChained(q.Now()+Cycle(rng.Intn(100)), stale)
+		q.Reset()
+		reset = true
+		if _, ok := q.PeekTime(); ok || q.Len() != 0 || q.Now() != 0 {
+			t.Fatalf("seed %d: after Reset Len = %d, Now = %d, PeekTime ok = %v", seed, q.Len(), q.Now(), ok)
+		}
+		runMirrorOn(t, q, seed, 400)
+	}
+}
+
+// TestResetKeepsStorage checks that a reset queue keeps its free list
+// and slice capacities: replaying the same schedule after a Reset
+// allocates nothing.
+func TestResetKeepsStorage(t *testing.T) {
+	var q Queue
+	nop := func(Cycle) {}
+	fill := func() {
+		for i := 0; i < 64; i++ {
+			q.Schedule(Cycle(i%8), nop)
+			q.Schedule(Cycle(5000+i), nop)
+		}
+		q.ScheduleChained(3, nop)
+		for q.Len() > 32 {
+			q.Step()
+		}
+		q.Reset()
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(10, fill); allocs != 0 {
+		t.Fatalf("a schedule replayed after Reset made %v allocations, want 0", allocs)
+	}
+}
+
 // FuzzQueueOrdering feeds arbitrary operation streams to the queue and
 // the heap oracle and requires identical dispatch order. Each input
 // byte pair encodes one operation: schedule at an offset, cancel, or
@@ -213,7 +276,7 @@ func FuzzQueueOrdering(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x10, 0x20, 0xff, 0x03})
 	f.Add([]byte{0x50, 0x00, 0x50, 0x00, 0xf0, 0x02, 0xf1, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := &mirror{t: t}
+		m := &mirror{t: t, q: new(Queue)}
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
 			switch {

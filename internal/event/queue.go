@@ -1,9 +1,6 @@
 package event
 
-import (
-	"container/heap"
-	"math/bits"
-)
+import "math/bits"
 
 // The queue is the simulator's per-event hot path: every DRAM command,
 // controller wake and core step passes through Schedule and Step. Two
@@ -64,31 +61,61 @@ type slot struct {
 
 // farHeap is the overflow min-heap, ordered by (at, seq). It only sees
 // events scheduled more than bucketWindow cycles out, so its O(log n)
-// cost is off the steady-state path.
+// cost is off the steady-state path. push and pop are typed sift loops
+// rather than container/heap: no interface dispatch per comparison and
+// no boxing of each event in an any.
 type farHeap []*event
 
-func (h farHeap) Len() int { return len(h) }
-
-func (h farHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before reports whether a dispatches ahead of b.
+func before(a, b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-func (h farHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// push adds e, sifting it up from the last leaf.
+func (h *farHeap) push(e *event) {
+	*h = append(*h, e)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(e, s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = e
+}
 
-// Push implements heap.Interface.
-func (h *farHeap) Push(x any) { *h = append(*h, x.(*event)) }
-
-// Pop implements heap.Interface.
-func (h *farHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// pop removes and returns the earliest event, sifting the last leaf
+// down from the root. The heap must be non-empty.
+func (h *farHeap) pop() *event {
+	s := *h
+	n := len(s) - 1
+	top, last := s[0], s[n]
+	s[n] = nil
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(s[r], s[c]) {
+			c = r
+		}
+		if !before(s[c], last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = last
+	return top
 }
 
 // chained is a chained wake (see Queue.ScheduleChained): an event that
@@ -136,6 +163,34 @@ func (q *Queue) Now() Cycle { return q.now }
 // Len reports the number of pending (non-cancelled) events.
 func (q *Queue) Len() int { return q.live }
 
+// Reset empties the queue for another simulation: afterwards it
+// behaves exactly like the zero value (the insertion counter, the clock
+// and the live count restart from zero; pending events and chained
+// wakes are dropped without running), but it keeps its storage — the
+// event free list, each bucket's capacity and the far heap's capacity
+// — so a run on a reset queue schedules without regrowing them.
+// Handles and ChainHandles issued before the reset refer to nothing
+// the caller may use afterwards.
+func (q *Queue) Reset() {
+	for i := range q.slots {
+		s := &q.slots[i]
+		for _, e := range s.evs[s.head:] {
+			q.recycle(e)
+		}
+		clear(s.evs)
+		s.evs, s.head = s.evs[:0], 0
+	}
+	for _, e := range q.far {
+		q.recycle(e)
+	}
+	clear(q.far)
+	clear(q.chains) // drop the callbacks with their closures
+	q.far, q.chains = q.far[:0], q.chains[:0]
+	q.occ = [len(q.occ)]uint64{}
+	q.seq, q.now, q.live = 0, 0, 0
+	q.nearFrom, q.nearLive, q.chainID = 0, 0, 0
+}
+
 // get returns a fresh event object, reusing the free list when
 // possible.
 func (q *Queue) get() *event {
@@ -181,7 +236,7 @@ func (q *Queue) Schedule(at Cycle, fn func(now Cycle)) Handle {
 		q.nearLive++
 	} else {
 		e.far = true
-		heap.Push(&q.far, e)
+		q.far.push(e)
 	}
 	return Handle{ev: e, gen: e.gen}
 }
@@ -332,7 +387,7 @@ func (q *Queue) farHead() *event {
 		if q.far[0].fn != nil {
 			return q.far[0]
 		}
-		q.recycle(heap.Pop(&q.far).(*event))
+		q.recycle(q.far.pop())
 	}
 	return nil
 }
@@ -346,7 +401,7 @@ func (q *Queue) head() *event {
 		return fe
 	case fe == nil:
 		return ne
-	case fe.at < ne.at || (fe.at == ne.at && fe.seq < ne.seq):
+	case before(fe, ne):
 		return fe
 	default:
 		return ne
@@ -389,7 +444,7 @@ func (q *Queue) Step() bool {
 // pop removes e — which must be the current head — from its container.
 func (q *Queue) pop(e *event) {
 	if e.far {
-		heap.Pop(&q.far)
+		q.far.pop()
 	} else {
 		s := &q.slots[int(e.at)&bucketMask]
 		s.evs[s.head] = nil

@@ -45,6 +45,18 @@ type Task[R any] struct {
 	Transient bool
 }
 
+// StateTask is a Task that runs with its worker's state: RunWith hands
+// Run the state of the worker goroutine that executes it.
+type StateTask[S, R any] struct {
+	// Label names the run, as Task.Label does.
+	Label string
+	// Run executes the task with its worker's state s; ctx is
+	// cancelled when the pool aborts.
+	Run func(ctx context.Context, s S) (R, error)
+	// Transient opts the task into retry, as Task.Transient does.
+	Transient bool
+}
+
 // Func wraps a plain function as a labeled task.
 func Func[R any](label string, fn func(ctx context.Context) (R, error)) Task[R] {
 	return Task[R]{Label: label, Run: fn}
@@ -305,6 +317,21 @@ func (p *Pool) record(label string, d time.Duration, err error) {
 // Tasks are fed to workers through a bounded queue, so a batch of
 // thousands holds only O(jobs) tasks in flight or buffered at once.
 func Run[R any](ctx context.Context, p *Pool, tasks []Task[R]) ([]R, error) {
+	st := make([]StateTask[struct{}, R], len(tasks))
+	for i, t := range tasks {
+		st[i] = StateTask[struct{}, R]{Label: t.Label, Transient: t.Transient,
+			Run: func(ctx context.Context, _ struct{}) (R, error) { return t.Run(ctx) }}
+	}
+	return RunWith(ctx, p, func() struct{} { return struct{}{} }, st)
+}
+
+// RunWith is Run with per-worker state. Each worker goroutine of the
+// batch calls newState once when it starts and passes the value to
+// every task it executes, one at a time; the value is dropped when the
+// batch ends. A task may therefore reuse what the worker's previous
+// task left in the state (scratch storage, say) without locking, and
+// the state never outlives the batch.
+func RunWith[S, R any](ctx context.Context, p *Pool, newState func() S, tasks []StateTask[S, R]) ([]R, error) {
 	results := make([]R, len(tasks))
 	if len(tasks) == 0 {
 		return results, ctx.Err()
@@ -386,6 +413,7 @@ func Run[R any](ctx context.Context, p *Pool, tasks []Task[R]) ([]R, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			state := newState()
 			for i := range queue {
 				tctx, ok := begin(i)
 				if !ok {
@@ -394,7 +422,7 @@ func Run[R any](ctx context.Context, p *Pool, tasks []Task[R]) ([]R, error) {
 				t := tasks[i]
 				p.admit()
 				start := time.Now()
-				res, err := attempt(tctx, p, t, retryMax, retryBackoff, faultHook)
+				res, err := attempt(tctx, p, t, state, retryMax, retryBackoff, faultHook)
 				p.record(t.Label, time.Since(start), err)
 				// A task aborted by a cancellation (the parent's, or an
 				// earlier task's failure) is not a failure: the cause is
@@ -431,7 +459,7 @@ func Run[R any](ctx context.Context, p *Pool, tasks []Task[R]) ([]R, error) {
 // hook, and bounded retry for Transient tasks. Retry delays follow the
 // pool's Backoff; a schedule that exhausts its max-elapsed budget ends
 // the retries early with the last failure.
-func attempt[R any](ctx context.Context, p *Pool, t Task[R], retryMax int,
+func attempt[S, R any](ctx context.Context, p *Pool, t StateTask[S, R], state S, retryMax int,
 	backoff Backoff, hook func(string, int) error) (res R, err error) {
 	maxAtt := 0
 	if t.Transient {
@@ -439,7 +467,7 @@ func attempt[R any](ctx context.Context, p *Pool, t Task[R], retryMax int,
 	}
 	var sched *BackoffSchedule
 	for att := 0; ; att++ {
-		res, err = runOnce(ctx, p, t, att, hook)
+		res, err = runOnce(ctx, p, t, state, att, hook)
 		if err == nil || att >= maxAtt || ctx.Err() != nil || isCancellation(err) {
 			return res, err
 		}
@@ -460,7 +488,7 @@ func attempt[R any](ctx context.Context, p *Pool, t Task[R], retryMax int,
 
 // runOnce is a single task attempt under a panic guard: a panic in the
 // task (or the fault hook) becomes a *PanicError carrying the stack.
-func runOnce[R any](ctx context.Context, p *Pool, t Task[R], attempt int,
+func runOnce[S, R any](ctx context.Context, p *Pool, t StateTask[S, R], state S, attempt int,
 	hook func(string, int) error) (res R, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -473,5 +501,5 @@ func runOnce[R any](ctx context.Context, p *Pool, t Task[R], attempt int,
 			return res, herr
 		}
 	}
-	return t.Run(ctx)
+	return t.Run(ctx, state)
 }

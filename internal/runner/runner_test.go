@@ -224,3 +224,40 @@ func TestStatsSpeedupAndString(t *testing.T) {
 		t.Error("zero stats speedup not 0")
 	}
 }
+
+// TestRunWithPerWorkerState checks RunWith's state contract: each
+// worker goroutine makes its state once per batch, never shares it with
+// a concurrent task, and every task runs with some worker's state.
+// A second batch on the same pool starts from new states.
+func TestRunWithPerWorkerState(t *testing.T) {
+	type state struct{ busy atomic.Bool }
+	p := New(3)
+	var made atomic.Int32
+	newState := func() *state { made.Add(1); return new(state) }
+	const n = 60
+	tasks := make([]StateTask[*state, int], n)
+	for i := range tasks {
+		tasks[i] = StateTask[*state, int]{Label: fmt.Sprintf("t%d", i), Run: func(_ context.Context, s *state) (int, error) {
+			if !s.busy.CompareAndSwap(false, true) {
+				return 0, errors.New("two tasks ran on one worker's state at once")
+			}
+			defer s.busy.Store(false)
+			time.Sleep(time.Duration(i%5) * 10 * time.Microsecond)
+			return i, nil
+		}}
+	}
+	for batch := 1; batch <= 2; batch++ {
+		results, err := RunWith(context.Background(), p, newState, tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range results {
+			if r != i {
+				t.Fatalf("batch %d: results[%d] = %d", batch, i, r)
+			}
+		}
+		if got := made.Load(); got != int32(3*batch) {
+			t.Fatalf("after batch %d, %d states were made, want one per worker per batch (%d)", batch, got, 3*batch)
+		}
+	}
+}

@@ -329,7 +329,39 @@ func Run(cfg Config) (*Result, error) {
 // ctx is cancelled (polled every watchdogInterval events) and returns
 // ctx's error. Graceful campaign shutdown rides on this.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
-	return run(ctx, cfg, seams{})
+	return new(Arena).run(ctx, cfg, seams{})
+}
+
+// Arena is the storage that one goroutine reuses across a sequence of
+// runs: the event queue, the LLC's way array and one workload generator
+// per synthetic core. Arena.Run resets each in place (the queue keeps
+// its free list and slice capacities, the LLC its way array when large
+// enough, a generator its random source and history buffer) where
+// RunCtx allocates them afresh; every other component is still built
+// new for each run. A run's result is byte-identical to RunCtx's, and
+// nothing of a run stays reachable through the arena once the next run
+// has begun. The zero value is ready to use. An Arena runs one
+// simulation at a time: give each goroutine its own, and drop it with
+// the goroutine (runner.RunWith's per-worker state is this lifetime).
+type Arena struct {
+	q    event.Queue
+	llc  cache.Cache
+	gens []*workload.Generator
+}
+
+// Run is RunCtx on the arena's storage.
+func (a *Arena) Run(ctx context.Context, cfg Config) (*Result, error) {
+	return a.run(ctx, cfg, seams{})
+}
+
+// generator returns the arena's generator for core i, reset to profile
+// p and seed.
+func (a *Arena) generator(i int, p workload.Profile, seed int64) *workload.Generator {
+	for len(a.gens) <= i {
+		a.gens = append(a.gens, new(workload.Generator))
+	}
+	a.gens[i].Reset(p, seed)
+	return a.gens[i]
 }
 
 // RunCrossChecked is RunCtx with memctrl.Config.CrossCheck set on this
@@ -339,7 +371,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 // because the WL1 mix still trips the polling deviation of DESIGN.md §7
 // item 9.
 func RunCrossChecked(ctx context.Context, cfg Config) (*Result, error) {
-	return run(ctx, cfg, seams{crossCheck: true})
+	return new(Arena).run(ctx, cfg, seams{crossCheck: true})
 }
 
 // seams are the test doors into one run. Run and RunCtx pass the zero
@@ -355,8 +387,8 @@ type seams struct {
 	stall func(*event.Queue)
 }
 
-// run is the Run body.
-func run(ctx context.Context, cfg Config, sm seams) (*Result, error) {
+// run is the Run body, on a's storage.
+func (a *Arena) run(ctx context.Context, cfg Config, sm seams) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -367,7 +399,10 @@ func run(ctx context.Context, cfg Config, sm seams) (*Result, error) {
 	// is what makes parallel experiments race-free.
 	reg := stats.NewRegistry()
 
-	q := &event.Queue{}
+	// Resetting first drops the previous run's pending callbacks, and
+	// with them the last references to its components.
+	q := &a.q
+	q.Reset()
 	std, err := dram.Lookup(cfg.Standard)
 	if err != nil {
 		return nil, err
@@ -430,8 +465,8 @@ func run(ctx context.Context, cfg Config, sm seams) (*Result, error) {
 		mapper = addr.NewInterleaved(geo)
 	}
 
-	llc, err := cache.New(cache.DefaultConfig(cfg.LLCBytes))
-	if err != nil {
+	llc := &a.llc
+	if err := llc.Reset(cache.DefaultConfig(cfg.LLCBytes)); err != nil {
 		return nil, err
 	}
 	ms := &memSystem{
@@ -468,7 +503,7 @@ func run(ctx context.Context, cfg Config, sm seams) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			stream = workload.NewGenerator(prof, cfg.Seed*1_000_003+int64(i)*97+int64(len(bench)))
+			stream = a.generator(i, prof, cfg.Seed*1_000_003+int64(i)*97+int64(len(bench)))
 		}
 		if cfg.CaptureTraces {
 			recorders[i] = trace.NewRecorder(stream)

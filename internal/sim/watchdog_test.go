@@ -33,7 +33,7 @@ func livelock() seams {
 func TestFaultWatchdogKillsLivelock(t *testing.T) {
 	cfg := wdConfig()
 	cfg.LivelockEvents = 50_000
-	_, err := run(context.Background(), cfg, livelock())
+	_, err := new(Arena).run(context.Background(), cfg, livelock())
 	var we *WatchdogError
 	if !errors.As(err, &we) {
 		t.Fatalf("livelocked run returned %v, want *WatchdogError", err)
@@ -57,7 +57,7 @@ func TestFaultWatchdogWallClockDeadline(t *testing.T) {
 	cfg := wdConfig()
 	cfg.LivelockEvents = -1
 	cfg.RunTimeout = time.Millisecond
-	_, err := run(context.Background(), cfg, livelock())
+	_, err := new(Arena).run(context.Background(), cfg, livelock())
 	var we *WatchdogError
 	if !errors.As(err, &we) {
 		t.Fatalf("past-deadline run returned %v, want *WatchdogError", err)
@@ -81,7 +81,7 @@ func TestFaultRunCtxCancelAborts(t *testing.T) {
 	// happens every watchdogInterval events regardless of progress).
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := run(ctx, wdConfig(), livelock())
+	_, err := new(Arena).run(ctx, wdConfig(), livelock())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}

@@ -24,16 +24,21 @@ type Generator struct {
 	deltaOpsLeft int
 
 	// Hot working-set walker: a sequential pointer plus a ring of
-	// recently accessed lines that reuse accesses draw from.
+	// recently accessed lines that reuse accesses draw from. The ring
+	// grows by appending until it holds histLimit lines, then wraps;
+	// hotHistPos is the slot the next line goes to.
 	hotPos     int64
 	hotHist    []uint64
-	hotHistLen int
 	hotHistPos int
 }
 
 // hotHistCap bounds the reuse history (and therefore the longest reuse
 // distance the generator can produce).
 const hotHistCap = 1 << 17
+
+// histLimit is the most lines the reuse history ring of profile p
+// holds: its working set, at most hotHistCap.
+func histLimit(p Profile) int { return min(p.WSLines, hotHistCap) }
 
 // hotReuseFrac is the fraction of hot accesses that revisit an earlier
 // line instead of advancing the sequential pointer.
@@ -55,19 +60,31 @@ const segmentOps = 256
 // Identical (p, seed) pairs produce identical traces. It panics on an
 // invalid profile: profiles are static configuration.
 func NewGenerator(p Profile, seed int64) *Generator {
+	g := &Generator{}
+	g.Reset(p, seed)
+	return g
+}
+
+// Reset turns g into the generator NewGenerator(p, seed) builds, so it
+// yields the identical trace, but keeps g's random source and reuse
+// history storage: re-seeding a source gives the same draws as a new
+// one seeded alike. It panics on an invalid profile, as NewGenerator
+// does.
+func (g *Generator) Reset(p Profile, seed int64) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	g := &Generator{
-		p:   p,
-		rng: rand.New(rand.NewSource(seed)),
-		on:  true,
+	rng := g.rng
+	if rng == nil {
+		rng = rand.New(rand.NewSource(seed))
+	} else {
+		rng.Seed(seed)
 	}
+	*g = Generator{p: p, rng: rng, on: true, hotHist: g.hotHist[:0]}
 	if p.OffMeanInsts > 0 {
 		g.phaseLeft = g.expInt(p.OnMeanInsts)
 	}
 	g.pickDelta()
-	return g
 }
 
 // Profile reports the generator's profile.
@@ -118,20 +135,25 @@ func (g *Generator) nextStreamLine() uint64 {
 	return uint64(streamBase + g.streamPos)
 }
 
-// recordHot pushes a line into the reuse history ring.
+// recordHot pushes a line into the reuse history ring. Until the ring
+// is full it appends, growing its storage by doubling up to the ring's
+// limit, so a generator that makes few hot accesses holds few lines.
+// Reads only reach slots already written (nextHotLine draws distances
+// below the ring's length), so the trace is the same as with the ring
+// allocated whole.
 func (g *Generator) recordHot(line uint64) {
-	if g.hotHist == nil {
-		capLines := g.p.WSLines
-		if capLines > hotHistCap {
-			capLines = hotHistCap
+	limit := histLimit(g.p)
+	if n := len(g.hotHist); n < limit {
+		if n == cap(g.hotHist) {
+			grown := make([]uint64, n, min(max(2*n, 1024), limit))
+			copy(grown, g.hotHist)
+			g.hotHist = grown
 		}
-		g.hotHist = make([]uint64, capLines)
+		g.hotHist = append(g.hotHist, line)
+	} else {
+		g.hotHist[g.hotHistPos] = line
 	}
-	g.hotHist[g.hotHistPos] = line
-	g.hotHistPos = (g.hotHistPos + 1) % len(g.hotHist)
-	if g.hotHistLen < len(g.hotHist) {
-		g.hotHistLen++
-	}
+	g.hotHistPos = (g.hotHistPos + 1) % limit
 }
 
 // nextHotLine advances the hot working-set walker. Most accesses revisit
@@ -141,14 +163,14 @@ func (g *Generator) recordHot(line uint64) {
 // smoothly across the paper's 1-8 MB sweep (Figs 12-14). The rest
 // advance a sequential pointer through the working set.
 func (g *Generator) nextHotLine() uint64 {
-	if g.hotHistLen > 64 && g.rng.Float64() < hotReuseFrac {
+	if len(g.hotHist) > 64 && g.rng.Float64() < hotReuseFrac {
 		dMax := float64(g.p.WSLines)
 		if dMax < hotReuseMin*2 {
 			dMax = hotReuseMin * 2
 		}
 		d := int(hotReuseMin * math.Exp(g.rng.Float64()*math.Log(dMax/hotReuseMin)))
-		if d >= g.hotHistLen {
-			d = g.hotHistLen - 1
+		if d >= len(g.hotHist) {
+			d = len(g.hotHist) - 1
 		}
 		if d < 1 {
 			d = 1

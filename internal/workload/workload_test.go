@@ -269,3 +269,47 @@ func TestGeneratorGapDistributionMean(t *testing.T) {
 		t.Errorf("perlbench mean gap = %.0f, want ≈%.0f", mean, p.OnGapMean)
 	}
 }
+
+// TestHotHistoryRingBounded drives a profile with a small working set
+// far past the point where its reuse history ring fills and wraps: the
+// ring, storage included, never holds more than min(WSLines,
+// hotHistCap) lines.
+func TestHotHistoryRingBounded(t *testing.T) {
+	for _, ws := range []int{100, 3000, 3 * hotHistCap} {
+		p := MustGet(Names()[0])
+		p.WSLines = ws
+		p.StreamFrac = 0
+		limit := min(ws, hotHistCap)
+		g := NewGenerator(p, 7)
+		for i := 0; i < 2*limit+5000; i++ {
+			g.Next()
+			if len(g.hotHist) > limit || cap(g.hotHist) > limit {
+				t.Fatalf("WSLines %d: ring len %d cap %d after %d records, limit %d",
+					ws, len(g.hotHist), cap(g.hotHist), i+1, limit)
+			}
+		}
+		if ws < hotHistCap && len(g.hotHist) != limit {
+			t.Errorf("WSLines %d: ring holds %d lines after wrapping, want %d", ws, len(g.hotHist), limit)
+		}
+	}
+}
+
+// TestResetGeneratorMatchesFresh reuses one generator across every
+// profile, the zoo's included, each time with its history left full by
+// the previous one: after Reset it must yield the same stream as a
+// fresh NewGenerator.
+func TestResetGeneratorMatchesFresh(t *testing.T) {
+	names := append(Names(), ZooNames()...)
+	g := NewGenerator(MustGet(names[0]), 1)
+	for pass := 0; pass < 2; pass++ {
+		for i, name := range names {
+			seed := int64(1000*pass + i)
+			p := MustGet(name)
+			g.Reset(p, seed)
+			got, want := Take(g, 20000), Take(NewGenerator(p, seed), 20000)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: a reset generator's stream differs from a fresh one", name, seed)
+			}
+		}
+	}
+}

@@ -3,11 +3,11 @@ package workload
 import "sort"
 
 // zoo is the server-class workload catalog: synthetic models of memory
-// behaviours the SPEC-like table does not cover (ROADMAP item 5). Zoo
-// profiles are deliberately kept out of Names()/PaperOrder() — the
-// paper's twelve-benchmark evaluation stays exactly the paper's — but
-// Get resolves them, so any harness flag that takes a benchmark name
-// takes a zoo name too. The committed traces under testdata/traces/
+// behaviours the SPEC-like table does not cover. Zoo profiles are
+// deliberately kept out of Names()/PaperOrder() — the paper's
+// twelve-benchmark evaluation stays exactly the paper's — but Get
+// resolves them, so any harness flag that takes a benchmark name takes
+// a zoo name too. The committed traces under testdata/traces/
 // are captured from these profiles (docs/TRACES.md has the catalog).
 var zoo = map[string]Profile{
 	"pointer": {

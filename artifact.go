@@ -76,20 +76,36 @@ func (a *Artifact) Snapshots() []RunStats {
 	return out
 }
 
-// artifactJSON is the serialized artifact layout (see docs/METRICS.md).
-type artifactJSON struct {
-	// Schema is the stats.SchemaVersion the artifact was written under.
-	Schema int `json:"schema"`
-	// Runs lists every recorded run, sorted by label.
-	Runs []RunStats `json:"runs"`
-}
-
 // WriteJSON serializes the artifact as indented JSON with runs sorted
-// by label. Output is byte-deterministic for deterministic runs.
+// by label: {"schema": stats.SchemaVersion, "runs": [{"label": ...,
+// "metrics": <snapshot>}, ...]} (docs/METRICS.md). Output is
+// byte-deterministic for deterministic runs, and byte-identical to
+// encoding/json's indented encoding of that layout.
 func (a *Artifact) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(artifactJSON{Schema: stats.SchemaVersion, Runs: a.Snapshots()})
+	b := fmt.Appendf(nil, "{\n  \"schema\": %d,\n  \"runs\": [", stats.SchemaVersion)
+	runs := a.Snapshots()
+	for i, run := range runs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		label, err := json.Marshal(run.Label)
+		if err != nil {
+			return err
+		}
+		b = append(b, "\n    {\n      \"label\": "...)
+		b = append(b, label...)
+		b = append(b, ",\n      \"metrics\": "...)
+		if b, err = run.Metrics.AppendJSON(b, 3); err != nil {
+			return err
+		}
+		b = append(b, "\n    }"...)
+	}
+	if len(runs) > 0 {
+		b = append(b, "\n  "...)
+	}
+	b = append(b, "]\n}\n"...)
+	_, err := w.Write(b)
+	return err
 }
 
 // WriteCSV serializes the artifact as "label,path,kind,field,value"

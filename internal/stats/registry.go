@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -288,9 +289,146 @@ func (s Snapshot) Paths() []string {
 // float formatting are deterministic, so identical runs produce
 // byte-identical output (golden tests rely on this).
 func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+	b, err := s.AppendJSON(nil, 0)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
+}
+
+// AppendJSON appends the snapshot's JSON to b, as a value nested depth
+// levels deep in an indented document: its inner lines are indented by
+// depth+1 levels of two spaces. The bytes are those encoding/json's
+// Encoder writes for s with SetIndent("", "  ") (less the trailing
+// newline), written directly: the snapshot is a fixed tree of strings
+// and floats, and writing it without reflection and a second
+// indentation pass is what keeps artifact rendering cheap.
+// TestAppendJSONMatchesEncoder holds the two to the same bytes. Like
+// encoding/json, it fails on a NaN or infinite value.
+func (s Snapshot) AppendJSON(b []byte, depth int) ([]byte, error) {
+	w := jsonWriter{b: b, depth: depth}
+	w.open('{')
+	w.key("schema")
+	w.b = strconv.AppendInt(w.b, int64(s.Schema), 10)
+	w.key("metrics")
+	if s.Metrics == nil {
+		w.b = append(w.b, "null"...)
+	} else {
+		w.open('[')
+		for _, v := range s.Metrics {
+			w.elem()
+			w.open('{')
+			w.key("path")
+			w.str(v.Path)
+			w.key("kind")
+			w.str(v.Kind)
+			w.key("fields")
+			if v.Fields == nil {
+				w.b = append(w.b, "null"...)
+			} else {
+				w.open('[')
+				for _, f := range v.Fields {
+					w.elem()
+					w.open('{')
+					w.key("name")
+					w.str(f.Name)
+					w.key("value")
+					w.float(f.Value)
+					w.close('}')
+				}
+				w.close(']')
+			}
+			w.close('}')
+		}
+		w.close(']')
+	}
+	w.close('}')
+	return w.b, w.err
+}
+
+// jsonWriter appends JSON in encoding/json's indented layout: a
+// non-empty object or array puts each element on its own line, indented
+// one level deeper than the line holding its brackets; an empty one is
+// "{}" or "[]"; a key is followed by ": ".
+type jsonWriter struct {
+	b     []byte
+	depth int
+	empty bool // the innermost open container has no element yet
+	err   error
+}
+
+func (w *jsonWriter) open(c byte) {
+	w.b = append(w.b, c)
+	w.depth++
+	w.empty = true
+}
+
+func (w *jsonWriter) close(c byte) {
+	w.depth--
+	if !w.empty {
+		w.newline()
+	}
+	w.b = append(w.b, c)
+	w.empty = false
+}
+
+// elem starts the next element of the innermost container.
+func (w *jsonWriter) elem() {
+	if !w.empty {
+		w.b = append(w.b, ',')
+	}
+	w.newline()
+	w.empty = false
+}
+
+func (w *jsonWriter) newline() {
+	w.b = append(w.b, '\n')
+	for i := 0; i < w.depth; i++ {
+		w.b = append(w.b, "  "...)
+	}
+}
+
+func (w *jsonWriter) key(k string) {
+	w.elem()
+	w.str(k)
+	w.b = append(w.b, ": "...)
+}
+
+// str appends s quoted. Metric paths, kinds and field names are plain
+// ASCII; any other string takes encoding/json's own escaping.
+func (w *jsonWriter) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			w.b = append(w.b, q...)
+			return
+		}
+	}
+	w.b = append(w.b, '"')
+	w.b = append(w.b, s...)
+	w.b = append(w.b, '"')
+}
+
+// float appends f as encoding/json formats a float64: ES6 number
+// formatting, exponent form below 1e-6 and from 1e21 on.
+func (w *jsonWriter) float(f float64) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		if w.err == nil {
+			_, w.err = json.Marshal(f) // the encoder's own error
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	w.b = strconv.AppendFloat(w.b, f, format, -1, 64)
+	if n := len(w.b); format == 'e' && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
+		// strconv writes e-07; encoding/json writes e-7.
+		w.b[n-2] = w.b[n-1]
+		w.b = w.b[:n-1]
+	}
 }
 
 // WriteCSV serializes the snapshot as "path,kind,field,value" rows

@@ -20,7 +20,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -152,8 +151,17 @@ func NewHistogram(bounds ...int64) *Histogram {
 
 // Observe adds one sample.
 func (h *Histogram) Observe(v int64) {
-	idx := sort.Search(len(h.bounds), func(i int) bool { return v < h.bounds[i] })
-	h.counts[idx]++
+	// Binary search for the first bound above v: sort.Search's answer,
+	// without a closure call per probe on this per-request path.
+	lo, hi := 0, len(h.bounds)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); v < h.bounds[m] {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	h.counts[lo]++
 	h.n++
 	h.sum += v
 	if v > h.max {

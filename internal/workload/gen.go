@@ -30,6 +30,10 @@ type Generator struct {
 	hotPos     int64
 	hotHist    []uint64
 	hotHistPos int
+	// reuseSpan is ln(dMax/hotReuseMin), where reuse distances range
+	// over [hotReuseMin, dMax] and dMax is the working set, at least
+	// 2*hotReuseMin.
+	reuseSpan float64
 }
 
 // hotHistCap bounds the reuse history (and therefore the longest reuse
@@ -80,7 +84,8 @@ func (g *Generator) Reset(p Profile, seed int64) {
 	} else {
 		rng.Seed(seed)
 	}
-	*g = Generator{p: p, rng: rng, on: true, hotHist: g.hotHist[:0]}
+	dMax := max(float64(p.WSLines), hotReuseMin*2)
+	*g = Generator{p: p, rng: rng, on: true, hotHist: g.hotHist[:0], reuseSpan: math.Log(dMax / hotReuseMin)}
 	if p.OffMeanInsts > 0 {
 		g.phaseLeft = g.expInt(p.OnMeanInsts)
 	}
@@ -164,11 +169,7 @@ func (g *Generator) recordHot(line uint64) {
 // advance a sequential pointer through the working set.
 func (g *Generator) nextHotLine() uint64 {
 	if len(g.hotHist) > 64 && g.rng.Float64() < hotReuseFrac {
-		dMax := float64(g.p.WSLines)
-		if dMax < hotReuseMin*2 {
-			dMax = hotReuseMin * 2
-		}
-		d := int(hotReuseMin * math.Exp(g.rng.Float64()*math.Log(dMax/hotReuseMin)))
+		d := int(hotReuseMin * math.Exp(g.rng.Float64()*g.reuseSpan))
 		if d >= len(g.hotHist) {
 			d = len(g.hotHist) - 1
 		}

@@ -2,6 +2,7 @@ package ropsim
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -226,6 +227,38 @@ func TestArtifactCSV(t *testing.T) {
 	for _, l := range lines[1:] {
 		if !strings.HasPrefix(l, "quick/libquantum,") {
 			t.Fatalf("row missing label prefix: %q", l)
+		}
+	}
+}
+
+// TestArtifactWriteJSONMatchesEncoder holds the artifact's JSON to
+// encoding/json's indented encoding of its documented layout, for an
+// empty artifact and for runs with labels that need escaping.
+func TestArtifactWriteJSONMatchesEncoder(t *testing.T) {
+	type layout struct {
+		Schema int        `json:"schema"`
+		Runs   []RunStats `json:"runs"`
+	}
+	snap := stats.Snapshot{Schema: stats.SchemaVersion, Metrics: []stats.Value{
+		{Path: "llc.hits", Kind: "counter", Fields: []stats.Field{{Name: "value", Value: 42}}},
+		{Path: "sim.rate", Kind: "gauge", Fields: []stats.Field{{Name: "value", Value: 1.5e-9}}},
+	}}
+	art := NewArtifact()
+	for _, n := range []int{0, 3} {
+		for i := 0; i < n; i++ {
+			art.Record([]string{"fig7/lbm/rop64", `odd "label" <&>`, "é\tx"}[i], snap)
+		}
+		var got, want bytes.Buffer
+		if err := art.WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(layout{Schema: stats.SchemaVersion, Runs: art.Snapshots()}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d runs:\nWriteJSON:\n%s\nencoding/json:\n%s", n, got.Bytes(), want.Bytes())
 		}
 	}
 }
